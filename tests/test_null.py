@@ -30,6 +30,20 @@ from mvdtest.discrepancy import statistic
 CHI2_1_Q95 = 3.841458820694124  # 0.95 quantile of chi-square with 1 degree of freedom
 
 
+def _reference_subsample_variance(x, spec, kind, plan, m):
+    """subsample_variance as a loop of Gram sets rebuilt from the raw rows."""
+    n = x.shape[0]
+    vals = np.empty(plan.iterations)
+    for i in range(plan.iterations):
+        sub_rng = np.random.default_rng([plan.seed, 0, i])
+        one = sub_rng.choice(plan.n1, size=plan.k, replace=False)
+        two = plan.n1 + sub_rng.choice(n - plan.n1, size=plan.l, replace=False)
+        g = build_gram_set(x[one], x[two], spec)
+        vals[i] = (plan.k + plan.l) * statistic(g, kind)
+    scale = ((n + m) ** 4 / (n**2 * m**2)) * ((plan.k * plan.l) ** 2 / (plan.k + plan.l) ** 4)
+    return vals.var(ddof=1) * scale
+
+
 def _unit_weights(values):
     lam = np.asarray(values, dtype=float)
     return SpectralWeights(lambdas=lam, trace=float(lam.sum()), clipped_count=0, clipped_mass=0.0)
@@ -151,6 +165,13 @@ class TestSpectralWeights:
         with pytest.raises(ValueError, match="not symmetric"):
             spectral_weights(a, 3)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_as_overflow(self, bad):
+        a = np.eye(3)
+        a[0, 1] = bad
+        with pytest.raises(ValueError, match="overflowed.*log_scale"):
+            spectral_weights(a, 3)
+
 
 class TestSampleWeightedChisq:
     def test_deterministic(self):
@@ -198,19 +219,25 @@ class TestSubsampleVariance:
         x = rng.normal(size=(24, 2))
         spec = KernelSpec(sigma=0.5, log_scale=0.1)
         plan = SubsamplingPlan(n1=12, k=4, l=5, iterations=40, seed=17)
-        m = 20
         for kind in ("mvd", "mmd"):
-            got = subsample_variance(x, spec, kind, plan, m)
-            vals = np.empty(plan.iterations)
-            for i in range(plan.iterations):
-                sub_rng = np.random.default_rng([plan.seed, 0, i])
-                one = sub_rng.choice(plan.n1, size=plan.k, replace=False)
-                two = plan.n1 + sub_rng.choice(x.shape[0] - plan.n1, size=plan.l, replace=False)
-                g = build_gram_set(x[one], x[two], spec)
-                vals[i] = (plan.k + plan.l) * statistic(g, kind)
-            n = x.shape[0]
-            scale = ((n + m) ** 4 / (n**2 * m**2)) * ((plan.k * plan.l) ** 2 / (plan.k + plan.l) ** 4)
-            np.testing.assert_allclose(got, vals.var(ddof=1) * scale, rtol=1e-12)
+            np.testing.assert_allclose(subsample_variance(x, spec, kind, plan, 20),
+                                       _reference_subsample_variance(x, spec, kind, plan, 20),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mvd", "mmd"])
+    @pytest.mark.parametrize("sigma", [1e-3, 20.0])
+    def test_chunks_match_reference_loop(self, kind, sigma):
+        # k != l and large enough that the 100 iterations span several
+        # chunks and end in a partial one.
+        rng = np.random.default_rng(65)
+        x = rng.normal(size=(130, 2))
+        spec = KernelSpec(sigma=sigma, log_scale=0.5)
+        plan = SubsamplingPlan(n1=70, k=60, l=45, iterations=100, seed=23)
+        chunk = mvdtest.null._CHUNK_SCALARS // (60 * 60 + 45 * 45 + 60 * 45)
+        assert 2 <= plan.iterations // chunk and plan.iterations % chunk != 0
+        np.testing.assert_allclose(subsample_variance(x, spec, kind, plan, 90),
+                                   _reference_subsample_variance(x, spec, kind, plan, 90),
+                                   rtol=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(62)
@@ -425,6 +452,16 @@ class TestRunTest:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="different dimensions"):
             run_test(np.zeros((10, 2)), np.zeros((10, 3)), KernelSpec(sigma=1.0))
+
+    @pytest.mark.parametrize("kind,log_scale", [("mvd", 300.0), ("mvd", 400.0), ("mmd", 800.0)])
+    def test_kernel_scale_overflow_fails_loudly(self, kind, log_scale):
+        # mvd at C=300 overflows only v_sub; the other two overflow the
+        # spectrum's source matrix.
+        x, y = self._samples(seed=96, n=100, m=100, d=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflowed.*log_scale"):
+                run_test(x, y, KernelSpec(sigma=0.3, log_scale=log_scale), kind=kind,
+                         draws=2000, seed=1)
 
     def test_explicit_plan_is_used(self):
         x, y = self._samples()
