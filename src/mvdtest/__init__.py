@@ -44,6 +44,7 @@ from .null import (
     default_tau,
     fit_wprime,
     run_test,
+    run_tests,
     sample_weighted_chisq,
     spectral_weights,
     subsample_variance,
@@ -95,6 +96,7 @@ __all__ = [
     "mvd_sq_isotropic",
     "mvd_statistic",
     "run_test",
+    "run_tests",
     "sample",
     "sample_weighted_chisq",
     "sigma_from_rule",

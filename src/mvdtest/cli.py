@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .closed_form import mmd_sq_isotropic, mvd_mmd_curves, mvd_sq_isotropic
 from .kernels import KERNEL_FAMILIES, KernelSpec, as_sample
-from .null import SubsamplingPlan, run_test
+from .null import SubsamplingPlan, run_tests
 from .simulate import sigma_from_rule, type1_power_table, variance_table
 
 SEED_ENV_VAR = "MVDTEST_SEED"
@@ -251,14 +251,9 @@ def cmd_test(args):
         iterations=args.subsample_iters,
         seed=args.seed,
     )
-    payloads = [
-        _report_payload(
-            run_test(x, y, spec, kind=kind, plan=plan, tau=args.tau,
-                     alpha=args.alpha, draws=args.draws, seed=args.seed),
-            args, sigma, d,
-        )
-        for kind in _kinds(args.kind)
-    ]
+    reports = run_tests(x, y, spec, kinds=_kinds(args.kind), plan=plan, tau=args.tau,
+                        alpha=args.alpha, draws=args.draws, seed=args.seed)
+    payloads = [_report_payload(report, args, sigma, d) for report in reports]
     body = payloads[0] if len(payloads) == 1 else payloads
     _emit(json.dumps(body, indent=2) + "\n", args.out)
     return 0

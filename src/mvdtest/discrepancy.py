@@ -24,6 +24,18 @@ def _check_kind(kind):
         raise ValueError(f"unknown statistic kind {kind!r}; choose from {KINDS}")
 
 
+def _check_kinds(kinds):
+    """Validate a sequence of distinct statistic kinds; return it as a tuple."""
+    kinds = tuple(kinds)
+    if not kinds:
+        raise ValueError(f"need at least one statistic kind from {KINDS}")
+    for kind in kinds:
+        _check_kind(kind)
+    if len(set(kinds)) != len(kinds):
+        raise ValueError(f"statistic kinds must be distinct, got {kinds}")
+    return kinds
+
+
 def _mvd_raw(g):
     """Covariance discrepancy from centered Gram blocks, before clamping.
 

@@ -11,11 +11,12 @@ the first moment is kept at the spectrum's own mean.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import _check_kind, _mmd_raw, _mvd_raw, h_matrix
+from .discrepancy import KINDS, _check_kind, _check_kinds, _mmd_raw, _mvd_raw, h_matrix
 from .kernels import as_sample, build_gram_set, gram
 
 # Variance-inflation defaults keyed by the subsample fraction k/n.  These are
@@ -118,12 +119,24 @@ def spectral_weights(source, n):
     a = np.asarray(source, dtype=float)
     if a.ndim != 2 or a.shape != (n, n):
         raise ValueError(f"source must be {n} x {n}, got shape {a.shape}")
+    if np.isfinite(a).all():
+        scale = float(np.abs(a).max()) if a.size else 0.0
+        if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(scale, 1e-300)):
+            raise ValueError("source matrix is not symmetric")
+    return _spectral_weights(a, n)
+
+
+def _spectral_weights(a, n):
+    """spectral_weights of a matrix built inside the package, without the symmetry check.
+
+    Such a matrix is symmetric up to round-off, which can exceed the public
+    check's tolerance when the kernel is nearly constant (tiny sigma).
+    eigvalsh reads only the lower triangle, so the round-off in the upper one
+    cannot change the weights.
+    """
     if not np.isfinite(a).all():
         raise ValueError("source matrix has non-finite entries: the kernel values "
                          "overflowed float64; lower KernelSpec.log_scale")
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(scale, 1e-300)):
-        raise ValueError("source matrix is not symmetric")
     eigs = np.linalg.eigvalsh(a / n)  # ascending
     eigs = eigs[1:]  # drop the structural zero (the smallest eigenvalue)
     negative = eigs < 0.0
@@ -147,21 +160,31 @@ def sample_weighted_chisq(w, rho, j, seed=0):
     j = int(j)
     if j < 1:
         raise ValueError(f"need at least one draw, got j={j}")
-    lam = np.asarray(w.lambdas, dtype=float)
-    out = np.empty(j)
-    if lam.size == 0 or not lam.any():
-        out[:] = 0.0
-        return out
+    return _weighted_chisq_draws([np.asarray(w.lambdas, dtype=float)], rho, j, seed)[0]
+
+
+def _weighted_chisq_draws(lams, rho, j, seed):
+    """sample_weighted_chisq for several weight vectors of one length, from one stream.
+
+    Each block of normals Z is drawn and squared once; every weight vector
+    then takes its own product with Z^2, so its draws are exactly those
+    sample_weighted_chisq gives it alone.  A vector of zeros gets zeros.
+    """
+    outs = [np.zeros(j) for _ in lams]
+    live = [(out, lam) for out, lam in zip(outs, lams) if lam.any()]
+    if not live:
+        return outs
+    size = live[0][1].size
     rng = np.random.default_rng(seed)
     denom = rho * (1.0 - rho)
-    rows = max(1, _BLOCK_SCALARS // lam.size)
-    start = 0
-    while start < j:
+    rows = max(1, _BLOCK_SCALARS // size)
+    for start in range(0, j, rows):
         stop = min(j, start + rows)
-        z = rng.standard_normal((stop - start, lam.size))
-        out[start:stop] = (z * z) @ lam / denom
-        start = stop
-    return out
+        zz = rng.standard_normal((stop - start, size))
+        np.multiply(zz, zz, out=zz)
+        for out, lam in live:
+            out[start:stop] = zz @ lam / denom
+    return outs
 
 
 def subsample_variance(x, spec, kind, plan, m):
@@ -189,25 +212,28 @@ def subsample_variance(x, spec, kind, plan, m):
     if m < 2:
         raise ValueError(f"companion sample size must be >= 2, got m={m}")
     plan.validate(x.shape[0])
-    return _subsample_variance(gram(x, x, spec), kind, plan, m)
+    return _subsample_variance(gram(x, x, spec), (kind,), plan, m)[0]
 
 
-def _subsample_variance(k_full, kind, plan, m):
-    """subsample_variance from the precomputed n x n Gram block of x."""
+def _subsample_variance(k_full, kinds, plan, m):
+    """subsample_variance of each kind in kinds, from the n x n Gram block of x.
+
+    All kinds share each chunk's index sets and gathered blocks.
+    """
     n = k_full.shape[0]
     k, l = plan.k, plan.l
-    raw = np.empty(plan.iterations)
+    raw = {kind: np.empty(plan.iterations) for kind in kinds}
     chunk = max(1, _CHUNK_SCALARS // (k * k + l * l + k * l))
     for start in range(0, plan.iterations, chunk):
         stop = min(start + chunk, plan.iterations)
-        raw[start:stop] = _chunk_raw(k_full, kind, plan, range(start, stop))
-    vals = (k + l) * np.maximum(raw, 0.0)
+        for kind, values in _chunk_raw(k_full, kinds, plan, range(start, stop)).items():
+            raw[kind][start:stop] = values
     scale = ((n + m) ** 4 / (n**2 * m**2)) * ((k * l) ** 2 / (k + l) ** 4)
-    return float(vals.var(ddof=1) * scale)
+    return tuple(float(((k + l) * np.maximum(raw[kind], 0.0)).var(ddof=1) * scale) for kind in kinds)
 
 
-def _chunk_raw(k_full, kind, plan, iterations):
-    """Unclamped statistics of the given subsampling iterations, in one pass."""
+def _chunk_raw(k_full, kinds, plan, iterations):
+    """Unclamped statistics of the given subsampling iterations, {kind: values}, in one pass."""
     n = k_full.shape[0]
     k, l = plan.k, plan.l
     one = np.empty((len(iterations), k), dtype=np.intp)
@@ -224,17 +250,19 @@ def _chunk_raw(k_full, kind, plan, iterations):
         flat.take(two[:, :, None] * n + two[:, None, :]),
         flat.take(one[:, :, None] * n + two[:, None, :]),
     )
-    if kind == "mvd":
+    terms = {}
+    # The mmd block sums come first: the mvd centering below works in place.
+    if "mmd" in kinds:
+        terms["mmd"] = [b.sum(axis=(1, 2)) for b in blocks]
+    if "mvd" in kinds:
         # Two-step double centering, then squared Frobenius norms: the same
         # terms as _mvd_raw without the raw-sums identity, which cancels when
         # the centered values are small.
         for b in blocks:
             b -= b.mean(axis=2, keepdims=True)
             b -= b.mean(axis=1, keepdims=True)
-        terms = [np.einsum("bij,bij->b", b, b) for b in blocks]
-    else:
-        terms = [b.sum(axis=(1, 2)) for b in blocks]
-    return terms[0] / k**2 - 2.0 * terms[2] / (k * l) + terms[1] / l**2
+        terms["mvd"] = [np.einsum("bij,bij->b", b, b) for b in blocks]
+    return {kind: t[0] / k**2 - 2.0 * t[2] / (k * l) + t[1] / l**2 for kind, t in terms.items()}
 
 
 @dataclass(frozen=True)
@@ -309,20 +337,29 @@ def _quantile_rank(j, alpha):
     return min(max(math.ceil(j * (1.0 - alpha)), 1), j)
 
 
+def _quantile(values, alpha):
+    """Empirical (1 - alpha)-quantile: the value at ascending rank ceil(J (1 - alpha))."""
+    r = _quantile_rank(values.size, alpha)
+    return float(np.partition(values, r - 1)[r - 1])
+
+
+def _check_level(alpha, draws, name):
+    """Check alpha is in (0, 1) and that `name`=draws can resolve its quantile."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    if draws < math.ceil(1.0 / alpha):
+        raise ValueError(f"{name}={draws} is too small for alpha={alpha}")
+
+
 def critical_value(na, alpha, seed=0):
     """Empirical (1 - alpha)-quantile of the corrected null law W'.
 
     Draws na.draws_j samples of W' = xi * S + c and returns the value at
     ascending rank ceil(J (1 - alpha)).  Deterministic given the seed.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if na.draws_j < math.ceil(1.0 / alpha):
-        raise ValueError(f"draws_j={na.draws_j} is too small for alpha={alpha}")
+    _check_level(alpha, na.draws_j, "draws_j")
     s = sample_weighted_chisq(na.weights, na.rho, na.draws_j, seed)
-    wprime = na.xi * s + na.c
-    r = _quantile_rank(na.draws_j, alpha)
-    return float(np.partition(wprime, r - 1)[r - 1])
+    return _quantile(na.xi * s + na.c, alpha)
 
 
 @dataclass(frozen=True)
@@ -360,23 +397,37 @@ class TestReport:
 def run_test(x, y, spec, kind="mvd", plan=None, tau=None, alpha=0.05, draws=10000, seed=0):
     """Run one two-sample test end to end and return a TestReport.
 
-    Steps: compute the scaled statistic; estimate the null spectrum from the
-    first sample; estimate the null variance by subsampling; fit the
+    The same as run_tests(..., kinds=(kind,))[0]; see run_tests.
+    """
+    return run_tests(x, y, spec, kinds=(kind,), plan=plan, tau=tau, alpha=alpha, draws=draws, seed=seed)[0]
+
+
+def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10000, seed=0):
+    """Run the two-sample test of each kind in kinds; return their TestReports in that order.
+
+    Steps per kind: compute the scaled statistic; estimate the null spectrum
+    from the first sample; estimate the null variance by subsampling; fit the
     corrected law W'; compare the statistic with the empirical
     (1 - alpha)-quantile of W'.  The p-value is the fraction of the same J
     draws that reach the statistic, and the uncorrected critical value is the
     same quantile of the raw spectrum law (identical draws, xi = 1, c = 0).
 
-    tau defaults to the built-in table keyed by (kind, k/n); plan defaults to
-    SubsamplingPlan.for_sample(n, seed=seed).  The chi-square draws use the
-    RNG stream (seed, 1), disjoint from the subsampling streams (seed, 0, i).
+    tau may be None (the built-in table keyed by (kind, k/n)), a number
+    applied to every kind, or a mapping {kind: tau} (missing kinds use the
+    table).  plan defaults to SubsamplingPlan.for_sample(n, seed=seed).  The
+    chi-square draws use the RNG stream (seed, 1), disjoint from the
+    subsampling streams (seed, 0, i).
+
+    The kinds share the Gram blocks, the subsample index sets and gathers,
+    and the normals of the (seed, 1) stream, so each report is exactly the
+    one a run for its kind alone gives.
     """
-    _check_kind(kind)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    kinds = _check_kinds(kinds)
+    if isinstance(tau, Mapping):
+        for key in tau:
+            _check_kind(key)
     draws = int(draws)
-    if draws < math.ceil(1.0 / alpha):
-        raise ValueError(f"draws={draws} is too small for alpha={alpha}")
+    _check_level(alpha, draws, "draws")
     seed = int(seed)
     x = as_sample(x, "x")
     y = as_sample(y, "y")
@@ -384,52 +435,55 @@ def run_test(x, y, spec, kind="mvd", plan=None, tau=None, alpha=0.05, draws=1000
         raise ValueError(f"samples have different dimensions: {x.shape[1]} vs {y.shape[1]}")
     n, m = x.shape[0], y.shape[0]
     if plan is None:
+        if n < 4:
+            raise ValueError(f"x needs at least 4 rows for the default subsampling plan, got {n}")
         plan = SubsamplingPlan.for_sample(n, seed=seed)
     plan.validate(n)
 
     g = build_gram_set(x, y, spec)
-    raw = _mvd_raw(g) if kind == "mvd" else _mmd_raw(g)
-    stat = (n + m) * max(float(raw), 0.0)
-
-    source = h_matrix(g) if kind == "mvd" else g.kc_x
-    w = spectral_weights(source, n)
     rho = n / (n + m)
-    v_sub = _subsample_variance(g.k_x, kind, plan, m)
-    if tau is None:
-        tau = default_tau(kind, plan.k / n)
-    na = fit_wprime(w, rho, v_sub, float(tau), draws_j=draws)
+    v_subs = _subsample_variance(g.k_x, kinds, plan, m)
+    fits = []
+    for kind, v_sub in zip(kinds, v_subs):
+        raw = _mvd_raw(g) if kind == "mvd" else _mmd_raw(g)
+        w = _spectral_weights(h_matrix(g) if kind == "mvd" else g.kc_x, n)
+        kind_tau = tau.get(kind) if isinstance(tau, Mapping) else tau
+        if kind_tau is None:
+            kind_tau = default_tau(kind, plan.k / n)
+        fits.append((kind, raw, fit_wprime(w, rho, v_sub, float(kind_tau), draws_j=draws)))
 
-    s = sample_weighted_chisq(w, rho, draws, [seed, 1])
-    wprime = na.xi * s + na.c
-    r = _quantile_rank(draws, alpha)
-    crit = float(np.partition(wprime, r - 1)[r - 1])
-    crit_uncorrected = float(np.partition(s, r - 1)[r - 1])
-    p_value = float(np.mean(wprime >= stat))
-    for name, value in (("statistic", stat), ("v_sub", v_sub), ("xi", na.xi), ("c", na.c),
-                        ("critical_value", crit), ("critical_value_uncorrected", crit_uncorrected)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} is {value}: the kernel values overflowed float64; "
-                             f"lower KernelSpec.log_scale (got {spec.log_scale})")
-
-    return TestReport(
-        kind=kind,
-        n=n,
-        m=m,
-        statistic=stat,
-        critical_value=crit,
-        critical_value_uncorrected=crit_uncorrected,
-        p_value=p_value,
-        reject=bool(stat > crit),
-        alpha=float(alpha),
-        tau=float(tau),
-        v_sub=v_sub,
-        xi=na.xi,
-        c=na.c,
-        draws=draws,
-        seed=seed,
-        plan=plan,
-        weights_trace=w.trace,
-        clipped_count=w.clipped_count,
-        clipped_mass=w.clipped_mass,
-        statistic_clamped=bool(raw < 0.0),
-    )
+    draws_s = _weighted_chisq_draws([na.weights.lambdas for _, _, na in fits], rho, draws, [seed, 1])
+    reports = []
+    for (kind, raw, na), s in zip(fits, draws_s):
+        stat = (n + m) * max(float(raw), 0.0)
+        wprime = na.xi * s + na.c
+        crit = _quantile(wprime, alpha)
+        crit_uncorrected = _quantile(s, alpha)
+        for name, value in (("statistic", stat), ("v_sub", na.v_sub), ("xi", na.xi), ("c", na.c),
+                            ("critical_value", crit), ("critical_value_uncorrected", crit_uncorrected)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is {value}: the kernel values overflowed float64; "
+                                 f"lower KernelSpec.log_scale (got {spec.log_scale})")
+        reports.append(TestReport(
+            kind=kind,
+            n=n,
+            m=m,
+            statistic=stat,
+            critical_value=crit,
+            critical_value_uncorrected=crit_uncorrected,
+            p_value=float(np.mean(wprime >= stat)),
+            reject=bool(stat > crit),
+            alpha=float(alpha),
+            tau=na.tau,
+            v_sub=na.v_sub,
+            xi=na.xi,
+            c=na.c,
+            draws=draws,
+            seed=seed,
+            plan=plan,
+            weights_trace=na.weights.trace,
+            clipped_count=na.weights.clipped_count,
+            clipped_mass=na.weights.clipped_mass,
+            statistic_clamped=bool(raw < 0.0),
+        ))
+    return reports

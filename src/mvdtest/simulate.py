@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import _check_kind, statistic
-from .kernels import KernelSpec, build_gram_set
-from .null import SubsamplingPlan, run_test, subsample_variance
+from .discrepancy import _check_kinds, statistic
+from .kernels import KernelSpec, build_gram_set, gram
+from .null import SubsamplingPlan, _subsample_variance, run_tests
 
 # Named bandwidth presets: sigma = d ** -exponent.
 SIGMA_RULES = {"d^-3/4": 0.75, "d^-7/8": 0.875, "d^-1": 1.0, "d^-2": 2.0}
@@ -166,8 +166,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     cells = list(cells)
     if not cells:
         raise ValueError("need at least one cell")
-    for kind in kinds:
-        _check_kind(kind)
+    kinds = _check_kinds(kinds)
     reps = int(reps)
     if reps < 2:
         raise ValueError(f"need reps >= 2 for a variance, got {reps}")
@@ -196,9 +195,11 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
                 n1=n // 2, k=max(2, n // div), l=max(2, n // div),
                 iterations=iterations, seed=_derived_seed(seed, ci, 1, div),
             )
+            plan.validate(n)
             x = np.random.default_rng([seed, ci, 2, div]).standard_normal((n, d))
-            for kind in kinds:
-                sub[ci, div, kind] = subsample_variance(x, spec, kind, plan, m)
+            v_subs = _subsample_variance(gram(x, x, spec), kinds, plan, m)
+            for kind, v_sub in zip(kinds, v_subs):
+                sub[ci, div, kind] = v_sub
                 rows.append({
                     "table": "variance", "sigma_rule": rule, "sigma": sigma, "d": d, "n": n, "m": m,
                     "kind": kind, "estimate": "subsample_variance", "scenario": None, "divisor": div,
@@ -260,8 +261,7 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
     cells = list(cells)
     if not cells:
         raise ValueError("need at least one cell")
-    for kind in kinds:
-        _check_kind(kind)
+    kinds = _check_kinds(kinds)
     reps = int(reps)
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
@@ -279,11 +279,9 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
                 y = sample(y_spec, m, seed=[seed, ci, si, rep, 1])
                 test_seed = _derived_seed(seed, ci, si, rep, 2)
                 plan = SubsamplingPlan.for_sample(n, divisor=divisor, iterations=iterations, seed=test_seed)
-                for kind in kinds:
-                    kind_tau = tau.get(kind) if isinstance(tau, dict) else tau
-                    report = run_test(x, y, spec, kind=kind, plan=plan, tau=kind_tau,
-                                      alpha=alpha, draws=draws, seed=test_seed)
-                    rejected[kind] += report.reject
+                for report in run_tests(x, y, spec, kinds=kinds, plan=plan, tau=tau,
+                                        alpha=alpha, draws=draws, seed=test_seed):
+                    rejected[report.kind] += report.reject
             for kind in kinds:
                 rate = rejected[kind] / reps
                 rows.append({

@@ -1,5 +1,6 @@
 """Null-law weights, subsampling variance, moment correction, and the test runner."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from mvdtest import (
     gram,
     h_matrix,
     run_test,
+    run_tests,
     sample_weighted_chisq,
     spectral_weights,
     subsample_variance,
@@ -200,6 +202,20 @@ class TestSampleWeightedChisq:
         q = np.quantile(draws, 0.95)
         assert abs(q - 4 * CHI2_1_Q95) < 0.15
 
+    @pytest.mark.parametrize("lams", [
+        [[0.5, 0.2, 0.1], [0.05, 0.3, 0.0]],
+        [[0.0, 0.0, 0.0], [0.5, 0.2, 0.1]],
+        [[0.5, 0.2, 0.1], [0.0, 0.0, 0.0]],
+    ])
+    def test_shared_stream_matches_each_vector_alone(self, lams, monkeypatch):
+        # An all-zero vector gets zeros and leaves the other vector's stream alone.
+        monkeypatch.setattr(mvdtest.null, "_BLOCK_SCALARS", 64)  # several blocks
+        lams = [np.array(lam) for lam in lams]
+        out = mvdtest.null._weighted_chisq_draws(lams, 0.3, 997, [9, 1])
+        for lam, draws in zip(lams, out):
+            np.testing.assert_array_equal(draws, sample_weighted_chisq(_unit_weights(lam), 0.3, 997,
+                                                                       seed=[9, 1]))
+
     def test_zero_weights_need_no_randomness(self):
         out = sample_weighted_chisq(_unit_weights([0.0, 0.0]), 0.5, 17, seed=77)
         np.testing.assert_array_equal(out, np.zeros(17))
@@ -238,6 +254,22 @@ class TestSubsampleVariance:
         np.testing.assert_allclose(subsample_variance(x, spec, kind, plan, 90),
                                    _reference_subsample_variance(x, spec, kind, plan, 90),
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 20.0])
+    def test_shared_kinds_match_reference_loop(self, sigma):
+        # Both kinds from one set of gathered chunks, in either order: the
+        # mmd sums must not see the in-place mvd centering.
+        rng = np.random.default_rng(66)
+        x = rng.normal(size=(130, 2))
+        spec = KernelSpec(sigma=sigma, log_scale=0.5)
+        plan = SubsamplingPlan(n1=70, k=60, l=45, iterations=100, seed=29)
+        want = {kind: _reference_subsample_variance(x, spec, kind, plan, 90) for kind in ("mvd", "mmd")}
+        k_x = gram(x, x, spec)
+        for kinds in (("mvd", "mmd"), ("mmd", "mvd")):
+            got = mvdtest.null._subsample_variance(k_x, kinds, plan, 90)
+            for kind, value in zip(kinds, got):
+                np.testing.assert_allclose(value, want[kind], rtol=1e-12)
+                assert value == subsample_variance(x, spec, kind, plan, 90)
 
     def test_deterministic(self):
         rng = np.random.default_rng(62)
@@ -463,6 +495,29 @@ class TestRunTest:
                 run_test(x, y, KernelSpec(sigma=0.3, log_scale=log_scale), kind=kind,
                          draws=2000, seed=1)
 
+    def test_nearly_constant_kernel_gives_finite_reports(self):
+        # At sigma = 1e-9 the Gram entries are 1 - O(1e-8), so H and K~_X are
+        # round-off-sized and not symmetric to the public check's tolerance.
+        x, y = self._samples(seed=5, n=100, m=100, d=3)
+        for rep in run_tests(x, y, KernelSpec(sigma=1e-9), draws=2000, seed=1):
+            for f in dataclasses.fields(rep):
+                value = getattr(rep, f.name)
+                if isinstance(value, float):
+                    assert math.isfinite(value), f.name
+            assert 0.0 <= rep.p_value <= 1.0
+            assert rep.reject == (rep.statistic > rep.critical_value)
+
+    def test_default_plan_needs_four_rows(self):
+        x, y = self._samples(n=3, m=10)
+        with pytest.raises(ValueError, match="x needs at least 4 rows for the default subsampling plan"):
+            run_test(x, y, KernelSpec(sigma=0.5), draws=200)
+
+    def test_default_plan_runs_at_four_rows(self):
+        x, y = self._samples(n=4, m=10)
+        for rep in run_tests(x, y, KernelSpec(sigma=0.5), draws=200, seed=1):
+            assert rep.plan == SubsamplingPlan.for_sample(4, seed=1)
+            assert 0.0 <= rep.p_value <= 1.0
+
     def test_explicit_plan_is_used(self):
         x, y = self._samples()
         plan = SubsamplingPlan(n1=20, k=4, l=4, iterations=50, seed=99)
@@ -470,3 +525,48 @@ class TestRunTest:
         assert rep.plan == plan
         np.testing.assert_allclose(
             rep.v_sub, subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 36), rtol=1e-15)
+
+
+class TestRunTests:
+    SPEC = KernelSpec(sigma=0.5)
+    PLAN = SubsamplingPlan(n1=22, k=6, l=4, iterations=60, seed=5)
+
+    def _samples(self):
+        rng = np.random.default_rng(97)
+        return rng.normal(size=(44, 2)), rng.exponential(size=(38, 2)) - 1.0
+
+    @pytest.mark.parametrize("kinds", [("mvd", "mmd"), ("mmd", "mvd"), ("mvd",), ("mmd",)])
+    def test_matches_one_kind_at_a_time(self, kinds):
+        x, y = self._samples()
+        tau = {"mvd": 0.25}  # mmd falls back to the table
+        reports = run_tests(x, y, self.SPEC, kinds=kinds, plan=self.PLAN, tau=tau, draws=1500, seed=4)
+        assert [rep.kind for rep in reports] == list(kinds)
+        for rep in reports:
+            alone, = run_tests(x, y, self.SPEC, kinds=(rep.kind,), plan=self.PLAN, tau=tau,
+                               draws=1500, seed=4)
+            assert rep == alone
+            assert rep.tau == (0.25 if rep.kind == "mvd" else default_tau("mmd", 6 / 44))
+
+    def test_default_plan_and_scalar_tau(self):
+        x, y = self._samples()
+        reports = run_tests(x, y, self.SPEC, tau=0.1, draws=1500, seed=8)
+        assert [rep.kind for rep in reports] == ["mvd", "mmd"]
+        for rep in reports:
+            assert rep == run_test(x, y, self.SPEC, kind=rep.kind, tau=0.1, draws=1500, seed=8)
+            assert rep.tau == 0.1
+
+    @pytest.mark.parametrize("kinds,match", [
+        ((), "at least one statistic kind"),
+        (("mvd", "mvd"), "must be distinct"),
+        (("mvd", "energy"), "unknown statistic kind"),
+    ])
+    def test_rejects_bad_kinds(self, kinds, match):
+        x, y = self._samples()
+        with pytest.raises(ValueError, match=match):
+            run_tests(x, y, self.SPEC, kinds=kinds, draws=200)
+
+    def test_rejects_unknown_kind_in_tau_mapping(self):
+        # A misspelt key would otherwise leave that kind on its default tau.
+        x, y = self._samples()
+        with pytest.raises(ValueError, match="unknown statistic kind 'mdv'"):
+            run_tests(x, y, self.SPEC, tau={"mdv": 0.3}, draws=200)

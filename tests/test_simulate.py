@@ -205,6 +205,17 @@ class TestVarianceTable:
                               and r["kind"] == kind and r["divisor"] == div]
                 np.testing.assert_allclose(slope_rows, [slope_regression(pairs)], rtol=1e-12)
 
+    def test_shared_subsampling_matches_single_kind_runs(self):
+        both = self._run(kinds=("mmd", "mvd"))
+        for kind in ("mvd", "mmd"):
+            alone = self._run(kinds=(kind,))
+            assert alone.rows == tuple(r for r in both.rows if r["kind"] == kind)
+
+    def test_rejects_duplicate_kinds(self):
+        # A repeated kind would repeat its rows.
+        with pytest.raises(ValueError, match="distinct"):
+            self._run(kinds=("mvd", "mvd"))
+
     def test_rejects_too_few_reps(self):
         with pytest.raises(ValueError, match="reps >= 2"):
             self._run(reps=1)
@@ -253,6 +264,11 @@ class TestTypeOnePowerTable:
     def test_rejects_unknown_alternative(self):
         with pytest.raises(ValueError, match="unknown alternative"):
             self._run(alternatives=("cauchy",))
+
+    def test_rejects_duplicate_kinds(self):
+        # A repeated kind would count its rejections twice.
+        with pytest.raises(ValueError, match="distinct"):
+            self._run(kinds=("mvd", "mvd"))
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError, match="reps >= 1"):
