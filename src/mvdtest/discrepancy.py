@@ -36,29 +36,31 @@ def _check_kinds(kinds):
     return kinds
 
 
-def _mvd_raw(g):
-    """Covariance discrepancy from centered Gram blocks, before clamping.
+def _raw_statistics(kinds, k_x, k_y, k_xy):
+    """Unclamped statistics {kind: value} of raw Gram blocks (..., k, k), (..., l, l), (..., k, l).
 
-    The trace of a product of centered Gram blocks equals the squared
-    Frobenius norm of the corresponding block, so each term is one einsum.
+    Leading axes index independent problems.  mmd takes the block sums, and
+    mvd then double-centers the blocks in place, rows then columns, and takes
+    their squared Frobenius norms.  The raw-sums identity for the centered
+    norms is not used: it cancels when the centered values are small.
     """
-    n, m = g.n, g.m
-    a_xx = np.einsum("ij,ij->", g.kc_x, g.kc_x)
-    a_xy = np.einsum("ij,ij->", g.kc_xy, g.kc_xy)
-    a_yy = np.einsum("ij,ij->", g.kc_y, g.kc_y)
-    return a_xx / n**2 - 2.0 * a_xy / (n * m) + a_yy / m**2
-
-
-def _mmd_raw(g):
-    """Mean-embedding discrepancy from raw Gram blocks, before clamping."""
-    n, m = g.n, g.m
-    return g.k_x.sum() / n**2 - 2.0 * g.k_xy.sum() / (n * m) + g.k_y.sum() / m**2
+    k, l = k_xy.shape[-2:]
+    blocks = (k_x, k_y, k_xy)
+    terms = {}
+    if "mmd" in kinds:
+        terms["mmd"] = [b.sum(axis=(-2, -1)) for b in blocks]
+    if "mvd" in kinds:
+        for b in blocks:
+            b -= b.mean(axis=-1, keepdims=True)
+            b -= b.mean(axis=-2, keepdims=True)
+        terms["mvd"] = [np.einsum("...ij,...ij->...", b, b) for b in blocks]
+    return {kind: t[0] / k**2 - 2.0 * t[2] / (k * l) + t[1] / l**2 for kind, t in terms.items()}
 
 
 def statistic(g, kind):
-    """Evaluate one discrepancy statistic ("mvd" or "mmd") on a GramSet."""
+    """Evaluate one discrepancy statistic ("mvd" or "mmd") on copies of a GramSet's raw blocks."""
     _check_kind(kind)
-    raw = _mvd_raw(g) if kind == "mvd" else _mmd_raw(g)
+    raw = _raw_statistics((kind,), g.k_x.copy(), g.k_y.copy(), g.k_xy.copy())[kind]
     return max(float(raw), 0.0)
 
 
@@ -87,4 +89,9 @@ def h_matrix(g):
     structural zero eigenvalue; the remaining spectrum estimates the weights
     of the covariance statistic's null law.
     """
-    return center_gram(g.kc_x * g.kc_x)
+    return _h_matrix(g.kc_x)
+
+
+def _h_matrix(kc_x):
+    """h_matrix from the centered first-sample Gram block alone."""
+    return center_gram(kc_x * kc_x)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import KINDS, _check_kind, _check_kinds, _mmd_raw, _mvd_raw, h_matrix
-from .kernels import as_sample, build_gram_set, gram
+from .discrepancy import KINDS, _check_kind, _check_kinds, _h_matrix, _raw_statistics
+from .kernels import as_sample, center_gram, gram
 
 # Variance-inflation defaults keyed by the subsample fraction k/n.  These are
 # through-origin regression slopes of exact against subsampled variances,
@@ -224,45 +224,24 @@ def _subsample_variance(k_full, kinds, plan, m):
     k, l = plan.k, plan.l
     raw = {kind: np.empty(plan.iterations) for kind in kinds}
     chunk = max(1, _CHUNK_SCALARS // (k * k + l * l + k * l))
-    for start in range(0, plan.iterations, chunk):
-        stop = min(start + chunk, plan.iterations)
-        for kind, values in _chunk_raw(k_full, kinds, plan, range(start, stop)).items():
-            raw[kind][start:stop] = values
-    scale = ((n + m) ** 4 / (n**2 * m**2)) * ((k * l) ** 2 / (k + l) ** 4)
-    return tuple(float(((k + l) * np.maximum(raw[kind], 0.0)).var(ddof=1) * scale) for kind in kinds)
-
-
-def _chunk_raw(k_full, kinds, plan, iterations):
-    """Unclamped statistics of the given subsampling iterations, {kind: values}, in one pass."""
-    n = k_full.shape[0]
-    k, l = plan.k, plan.l
-    one = np.empty((len(iterations), k), dtype=np.intp)
-    two = np.empty((len(iterations), l), dtype=np.intp)
-    for row, i in enumerate(iterations):
-        rng = np.random.default_rng([plan.seed, 0, i])
-        one[row] = rng.choice(plan.n1, size=k, replace=False)
-        two[row] = plan.n1 + rng.choice(n - plan.n1, size=l, replace=False)
     # A take from flat row-major indices gathers the same entries as
     # k_full[rows[:, :, None], cols[:, None, :]], about 1.5x faster at n=2000.
     flat = k_full.ravel()
-    blocks = (
-        flat.take(one[:, :, None] * n + one[:, None, :]),
-        flat.take(two[:, :, None] * n + two[:, None, :]),
-        flat.take(one[:, :, None] * n + two[:, None, :]),
-    )
-    terms = {}
-    # The mmd block sums come first: the mvd centering below works in place.
-    if "mmd" in kinds:
-        terms["mmd"] = [b.sum(axis=(1, 2)) for b in blocks]
-    if "mvd" in kinds:
-        # Two-step double centering, then squared Frobenius norms: the same
-        # terms as _mvd_raw without the raw-sums identity, which cancels when
-        # the centered values are small.
-        for b in blocks:
-            b -= b.mean(axis=2, keepdims=True)
-            b -= b.mean(axis=1, keepdims=True)
-        terms["mvd"] = [np.einsum("bij,bij->b", b, b) for b in blocks]
-    return {kind: t[0] / k**2 - 2.0 * t[2] / (k * l) + t[1] / l**2 for kind, t in terms.items()}
+    for start in range(0, plan.iterations, chunk):
+        stop = min(start + chunk, plan.iterations)
+        one = np.empty((stop - start, k), dtype=np.intp)
+        two = np.empty((stop - start, l), dtype=np.intp)
+        for row, i in enumerate(range(start, stop)):
+            rng = np.random.default_rng([plan.seed, 0, i])
+            one[row] = rng.choice(plan.n1, size=k, replace=False)
+            two[row] = plan.n1 + rng.choice(n - plan.n1, size=l, replace=False)
+        values = _raw_statistics(kinds, flat.take(one[:, :, None] * n + one[:, None, :]),
+                                 flat.take(two[:, :, None] * n + two[:, None, :]),
+                                 flat.take(one[:, :, None] * n + two[:, None, :]))
+        for kind in kinds:
+            raw[kind][start:stop] = values[kind]
+    scale = ((n + m) ** 4 / (n**2 * m**2)) * ((k * l) ** 2 / (k + l) ** 4)
+    return tuple(float(((k + l) * np.maximum(raw[kind], 0.0)).var(ddof=1) * scale) for kind in kinds)
 
 
 @dataclass(frozen=True)
@@ -355,7 +334,9 @@ def critical_value(na, alpha, seed=0):
     """Empirical (1 - alpha)-quantile of the corrected null law W'.
 
     Draws na.draws_j samples of W' = xi * S + c and returns the value at
-    ascending rank ceil(J (1 - alpha)).  Deterministic given the seed.
+    ascending rank ceil(J (1 - alpha)).  Deterministic given the seed; a test
+    run with seed=s draws from the stream [s, 1], so seed=[s, 1] reproduces
+    its critical value (seed=s does not).
     """
     _check_level(alpha, na.draws_j, "draws_j")
     s = sample_weighted_chisq(na.weights, na.rho, na.draws_j, seed)
@@ -440,17 +421,20 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
         plan = SubsamplingPlan.for_sample(n, seed=seed)
     plan.validate(n)
 
-    g = build_gram_set(x, y, spec)
+    k_x = gram(x, x, spec)
+    kc_x = center_gram(k_x)  # feeds both spectra, bit for bit as GramSet.kc_x would
+    v_subs = _subsample_variance(k_x, kinds, plan, m)
+    # The statistics consume the raw blocks (mvd centers them in place).
+    raws = _raw_statistics(kinds, k_x, gram(y, y, spec), gram(x, y, spec))
+    del k_x
     rho = n / (n + m)
-    v_subs = _subsample_variance(g.k_x, kinds, plan, m)
     fits = []
     for kind, v_sub in zip(kinds, v_subs):
-        raw = _mvd_raw(g) if kind == "mvd" else _mmd_raw(g)
-        w = _spectral_weights(h_matrix(g) if kind == "mvd" else g.kc_x, n)
+        w = _spectral_weights(_h_matrix(kc_x) if kind == "mvd" else kc_x, n)
         kind_tau = tau.get(kind) if isinstance(tau, Mapping) else tau
         if kind_tau is None:
             kind_tau = default_tau(kind, plan.k / n)
-        fits.append((kind, raw, fit_wprime(w, rho, v_sub, float(kind_tau), draws_j=draws)))
+        fits.append((kind, raws[kind], fit_wprime(w, rho, v_sub, float(kind_tau), draws_j=draws)))
 
     draws_s = _weighted_chisq_draws([na.weights.lambdas for _, _, na in fits], rho, draws, [seed, 1])
     reports = []

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import _check_kinds, statistic
-from .kernels import KernelSpec, build_gram_set, gram
+from .discrepancy import _check_kinds, _raw_statistics
+from .kernels import KernelSpec, gram
 from .null import SubsamplingPlan, _subsample_variance, run_tests
 
 # Named bandwidth presets: sigma = d ** -exponent.
@@ -170,6 +170,15 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     reps = int(reps)
     if reps < 2:
         raise ValueError(f"need reps >= 2 for a variance, got {reps}")
+    # Every cell and plan is checked before the first replication runs.
+    plans = {}
+    for ci, (_, d, n, m) in enumerate(cells):
+        if not all(isinstance(v, (int, np.integer)) for v in (d, n, m)) or d < 1 or n < 4 or m < 2:
+            raise ValueError(f"cell {ci} {tuple(cells[ci])}: need integers d >= 1, n >= 4 and m >= 2")
+        for div in divisors:
+            plans[ci, div] = SubsamplingPlan(n1=n // 2, k=max(2, n // div), l=max(2, n // div),
+                                             iterations=iterations, seed=_derived_seed(seed, ci, 1, div))
+            plans[ci, div].validate(n)
     rows = []
     exact = {}
     sub = {}
@@ -179,9 +188,10 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
         scaled = {kind: np.empty(reps) for kind in kinds}
         for rep in range(reps):
             rng = np.random.default_rng([seed, ci, 0, rep])
-            g = build_gram_set(rng.standard_normal((n, d)), rng.standard_normal((m, d)), spec)
+            x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+            raws = _raw_statistics(kinds, gram(x, x, spec), gram(y, y, spec), gram(x, y, spec))
             for kind in kinds:
-                scaled[kind][rep] = (n + m) * statistic(g, kind)
+                scaled[kind][rep] = (n + m) * max(float(raws[kind]), 0.0)
         for kind in kinds:
             exact[ci, kind] = float(scaled[kind].var(ddof=1))
             rows.append({
@@ -191,11 +201,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
                 "value": exact[ci, kind], "se": _variance_se(scaled[kind]),
             })
         for div in divisors:
-            plan = SubsamplingPlan(
-                n1=n // 2, k=max(2, n // div), l=max(2, n // div),
-                iterations=iterations, seed=_derived_seed(seed, ci, 1, div),
-            )
-            plan.validate(n)
+            plan = plans[ci, div]
             x = np.random.default_rng([seed, ci, 2, div]).standard_normal((n, d))
             v_subs = _subsample_variance(gram(x, x, spec), kinds, plan, m)
             for kind, v_sub in zip(kinds, v_subs):

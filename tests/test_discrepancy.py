@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 import reference as ref
-from mvdtest import KernelSpec, build_gram_set, h_matrix, mmd_statistic, mvd_statistic, statistic
+from mvdtest import (
+    KernelSpec,
+    SubsamplingPlan,
+    build_gram_set,
+    h_matrix,
+    mmd_statistic,
+    mvd_statistic,
+    run_tests,
+    statistic,
+    variance_table,
+)
 from mvdtest.discrepancy import KINDS
 
 # Hand-frozen values for small one-dimensional samples.
@@ -26,6 +36,20 @@ H_FROZEN = np.array([
     [0.00099100610904638, 0.032303001008105, 0.07495996557434155, -0.10825397269149294],
     [-0.08362640614628478, -0.02287600715664483, -0.10825397269149292, 0.21475638599442251],
 ])
+
+
+def _gram_set_statistic(x, y, spec, kind):
+    """statistic by the former GramSet path: centered blocks from build_gram_set, einsum norms."""
+    g = build_gram_set(x, y, spec)
+    n, m = g.n, g.m
+    if kind == "mvd":
+        a_xx = np.einsum("ij,ij->", g.kc_x, g.kc_x)
+        a_xy = np.einsum("ij,ij->", g.kc_xy, g.kc_xy)
+        a_yy = np.einsum("ij,ij->", g.kc_y, g.kc_y)
+        raw = a_xx / n**2 - 2.0 * a_xy / (n * m) + a_yy / m**2
+    else:
+        raw = g.k_x.sum() / n**2 - 2.0 * g.k_xy.sum() / (n * m) + g.k_y.sum() / m**2
+    return max(float(raw), 0.0)
 
 
 def _random_instance(rng, max_n=10, max_d=3):
@@ -118,6 +142,17 @@ class TestStatisticDispatch:
         assert statistic(g, "mvd") == mvd_statistic(g)
         assert statistic(g, "mmd") == mmd_statistic(g)
 
+    def test_leaves_the_gram_set_unchanged(self):
+        # The core centers its blocks in place; statistic hands it copies.
+        rng = np.random.default_rng(34)
+        g = build_gram_set(rng.normal(size=(6, 2)), rng.normal(size=(5, 2)), KernelSpec(sigma=0.7))
+        blocks = (g.k_x, g.k_y, g.k_xy, g.kc_x, g.kc_y, g.kc_xy)
+        before = [b.copy() for b in blocks]
+        for kind in KINDS:
+            statistic(g, kind)
+        for b, want in zip(blocks, before):
+            np.testing.assert_array_equal(b, want)
+
     def test_unknown_kind(self):
         rng = np.random.default_rng(32)
         g = build_gram_set(rng.normal(size=(3, 1)), rng.normal(size=(3, 1)), KernelSpec(sigma=1.0))
@@ -176,3 +211,44 @@ class TestHMatrix:
         lo = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)))
         hi = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5, log_scale=0.4)))
         np.testing.assert_allclose(hi, math.exp(0.8) * lo, rtol=1e-12, atol=1e-16)
+
+
+class TestCoreMatchesGramSetPath:
+    """Every caller of the statistic core agrees with the former GramSet formulas."""
+
+    GRID = [(sigma, c) for sigma in (1e-3, 20.0) for c in (0.0, 0.5)]
+
+    def _samples(self, seed=51, n=30, m=22, d=3):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, d)), rng.normal(size=(m, d)) * 1.2
+
+    @pytest.mark.parametrize("sigma,c", GRID)
+    def test_statistic(self, sigma, c):
+        x, y = self._samples()
+        spec = KernelSpec(sigma=sigma, log_scale=c)
+        g = build_gram_set(x, y, spec)
+        for kind in KINDS:
+            np.testing.assert_allclose(statistic(g, kind), _gram_set_statistic(x, y, spec, kind), rtol=1e-12)
+
+    @pytest.mark.parametrize("sigma,c", GRID)
+    def test_run_tests(self, sigma, c):
+        x, y = self._samples()
+        spec = KernelSpec(sigma=sigma, log_scale=c)
+        plan = SubsamplingPlan(n1=15, k=5, l=4, iterations=20, seed=2)
+        for rep in run_tests(x, y, spec, plan=plan, draws=200, seed=3):
+            np.testing.assert_allclose(rep.statistic, 52 * _gram_set_statistic(x, y, spec, rep.kind), rtol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 20.0])
+    def test_variance_table_exact_rows(self, sigma):
+        reps, seed = 12, 4
+        res = variance_table([(sigma, 3, 16, 11)], reps=reps, divisors=(4,), iterations=10, seed=seed)
+        spec = KernelSpec(sigma=sigma)
+        for kind in KINDS:
+            scaled = np.empty(reps)
+            for rep in range(reps):
+                rng = np.random.default_rng([seed, 0, 0, rep])
+                x = rng.standard_normal((16, 3))
+                y = rng.standard_normal((11, 3))
+                scaled[rep] = 27 * _gram_set_statistic(x, y, spec, kind)
+            row, = [r for r in res.rows if r["kind"] == kind and r["estimate"] == "exact_variance"]
+            np.testing.assert_allclose(row["value"], scaled.var(ddof=1), rtol=1e-12)

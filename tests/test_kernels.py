@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import reference as ref
 from mvdtest import KernelSpec, as_sample, build_gram_set, center_gram, gram, kernel_eval
@@ -123,6 +124,19 @@ class TestGram:
         base = gram(x, y, KernelSpec(sigma=0.4))
         lifted = gram(x, y, KernelSpec(sigma=0.4, log_scale=1.3))
         np.testing.assert_allclose(lifted, np.exp(1.3) * base, rtol=1e-13)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.5, 20.0])
+    @pytest.mark.parametrize("c", [-3.0, 0.0, 0.5])
+    def test_in_place_steps_match_exp_formula(self, sigma, c):
+        rng = np.random.default_rng(205)
+        x = rng.normal(size=(9, 3))
+        y = rng.normal(size=(6, 3))
+        got = gram(x, y, KernelSpec(sigma=sigma, log_scale=c))
+        np.testing.assert_array_equal(got, np.exp(c - sigma * cdist(x, y, "sqeuclidean")))
+        assert not np.shares_memory(got, x) and not np.shares_memory(got, y)
+        own = gram(x, x, KernelSpec(sigma=sigma, log_scale=c))
+        np.testing.assert_array_equal(own, np.exp(c - sigma * cdist(x, x, "sqeuclidean")))
+        assert not np.shares_memory(own, x)
 
     def test_unit_diagonal_at_zero_scale(self):
         rng = np.random.default_rng(204)

@@ -465,6 +465,21 @@ class TestRunTest:
         np.testing.assert_allclose(rep.critical_value_uncorrected, np.sort(s)[
             math.ceil(2000 * 0.95) - 1], rtol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["mvd", "mmd"])
+    def test_lower_level_pieces_reproduce_the_report(self, kind):
+        # The test draws its null law from the stream (seed, 1), not from seed.
+        x, y = self._samples()
+        spec = KernelSpec(sigma=0.5)
+        rep = run_test(x, y, spec, kind=kind, draws=2000, seed=21)
+        g = build_gram_set(x, y, spec)
+        w = spectral_weights(h_matrix(g) if kind == "mvd" else g.kc_x, g.n)
+        plan = SubsamplingPlan.for_sample(g.n, divisor=8, seed=21)
+        v = subsample_variance(x, spec, kind, plan, g.m)
+        law = fit_wprime(w, g.n / (g.n + g.m), v, tau=default_tau(kind, plan.k / g.n), draws_j=2000)
+        assert (g.n + g.m) * statistic(g, kind) == rep.statistic
+        assert critical_value(law, 0.05, seed=[21, 1]) == rep.critical_value
+        assert critical_value(law, 0.05, seed=21) != rep.critical_value
+
     def test_uncorrected_critical_value_is_xi_free(self):
         x, y = self._samples()
         rep = run_test(x, y, KernelSpec(sigma=0.5), kind="mvd", draws=2000, seed=5)

@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+import mvdtest.simulate
 from mvdtest import (
     DistributionSpec,
     KernelSpec,
@@ -219,6 +221,25 @@ class TestVarianceTable:
     def test_rejects_too_few_reps(self):
         with pytest.raises(ValueError, match="reps >= 2"):
             self._run(reps=1)
+
+    @pytest.mark.parametrize("cell", [
+        ("d^-3/4", 2, 3, 32),
+        ("d^-3/4", 2, 32, 1),
+        ("d^-3/4", 0, 32, 32),
+        (0.5, 2, 32.0, 32),
+    ])
+    def test_rejects_bad_cell_before_any_replication(self, cell, monkeypatch):
+        def no_replication(*args):
+            raise AssertionError("a replication ran before every cell was checked")
+        monkeypatch.setattr(mvdtest.simulate, "gram", no_replication)
+        want = re.escape(f"cell 1 {cell}: need integers d >= 1, n >= 4 and m >= 2")
+        with pytest.raises(ValueError, match=want):
+            self._run(cells=[self.CELL, cell])
+
+    def test_smallest_cell_runs_every_divisor(self):
+        res = self._run(cells=[("d^-3/4", 2, 4, 2)], divisors=(4, 6, 8))
+        subs = [r for r in res.rows if r["estimate"] == "subsample_variance"]
+        assert [(r["k"], r["l"]) for r in subs] == [(2, 2)] * 6
 
     def test_rejects_no_cells(self):
         with pytest.raises(ValueError, match="at least one cell"):
