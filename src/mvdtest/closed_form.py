@@ -22,6 +22,21 @@ def _check_sigma(sigma):
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
+def _scaled(value, c, power):
+    """max(value, 0) * e^(power * c): a discrepancy at C = 0 moved to log_scale c.
+
+    Raises a ValueError that names log_scale where the factor or the product
+    overflows float64 (e^(2c) does from c of about 355 on).
+    """
+    try:
+        scaled = math.exp(power * c) * max(value, 0.0)
+    except OverflowError:
+        scaled = math.inf
+    if scaled == math.inf:
+        raise ValueError(f"log_scale={c!r} is too large: the scaled discrepancy overflows float64")
+    return scaled
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianSpec:
     """A d-variate normal N(mean, cov) with symmetric positive-definite cov."""
@@ -78,7 +93,7 @@ def mmd_sq_gaussian(q, sigma, c=0.0):
     term_q = float(np.prod(1.0 + 4.0 * sigma * e) ** -0.5)
     cross_den = 1.0 + 2.0 * sigma + 2.0 * sigma * e
     cross = float(np.prod(cross_den) ** -0.5) * math.exp(-sigma * float(np.sum(w**2 / cross_den)))
-    return math.exp(c) * max(term_p + term_q - 2.0 * cross, 0.0)
+    return _scaled(term_p + term_q - 2.0 * cross, c, 1.0)
 
 
 def mvd_sq_gaussian(q, sigma, c=0.0):
@@ -127,7 +142,7 @@ def mvd_sq_gaussian(q, sigma, c=0.0):
     i4 = float(np.prod(den4) ** -1.0) * math.exp(-2.0 * s * float(np.sum(w2 / den4)))
 
     value = a_term + b_term - 2.0 * (i1 - i2 - i3 + i4)
-    return math.exp(2.0 * c) * max(value, 0.0)
+    return _scaled(value, c, 2.0)
 
 
 def mmd_sq_isotropic(t, s, d, sigma, c=0.0):
@@ -142,7 +157,7 @@ def mmd_sq_isotropic(t, s, d, sigma, c=0.0):
         + (1.0 + 4.0 * g * s) ** (-d / 2.0)
         - 2.0 * cross_den ** (-d / 2.0) * math.exp(-g * t**2 * d / cross_den)
     )
-    return math.exp(c) * max(value, 0.0)
+    return _scaled(value, c, 1.0)
 
 
 def mvd_sq_isotropic(t, s, d, sigma, c=0.0):
@@ -167,7 +182,7 @@ def mvd_sq_isotropic(t, s, d, sigma, c=0.0):
         + 2.0 * ((1.0 + 2.0 * g * s) * den3) ** (-d / 2.0) * math.exp(-2.0 * g * t**2 * d / den3)
         - 2.0 * den4 ** (-d) * math.exp(-2.0 * g * t**2 * d / den4)
     )
-    return math.exp(2.0 * c) * max(value, 0.0)
+    return _scaled(value, c, 2.0)
 
 
 def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):

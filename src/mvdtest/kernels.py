@@ -67,10 +67,14 @@ def kernel_eval(x, y, spec):
     return float(np.exp(spec.log_scale - spec.sigma * d2))
 
 
-def gram(x, y, spec):
-    """Dense Gram block k(x_i, y_j) between two samples."""
-    # In place on the fresh distances, bit-identical to exp(C - sigma * d2).
-    k = cdist(x, y, "sqeuclidean")
+def gram(x, y, spec, *, out=None):
+    """Dense Gram block k(x_i, y_j) between two samples.
+
+    out, if given, is a float64 len(x) x len(y) array that receives the block
+    and is returned, so a caller in a loop can reuse one buffer.
+    """
+    # In place on the distances, bit-identical to exp(C - sigma * d2).
+    k = cdist(x, y, "sqeuclidean", out=out)
     k *= -spec.sigma
     k += spec.log_scale
     return np.exp(k, out=k)

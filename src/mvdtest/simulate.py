@@ -3,10 +3,13 @@
 Every experiment is deterministic given its seed: replication r of cell c in
 scenario s derives its RNG streams from the integer key (seed, c, s, r, ...),
 so results do not depend on evaluation order and rerunning a configuration
-reproduces it exactly.
+reproduces it exactly.  That is what lets variance_table run its exact
+replications on a thread pool and still return the rows of a serial run.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,11 @@ from .null import SubsamplingPlan, _subsample_variance, run_tests
 
 # Named bandwidth presets: sigma = d ** -exponent.
 SIGMA_RULES = {"d^-3/4": 0.75, "d^-7/8": 0.875, "d^-1": 1.0, "d^-2": 2.0}
+
+# variance_table hands its exact replications to the pool in contiguous blocks
+# of this many reps: enough work per task to hide the hand-off, and enough
+# tasks (40 at reps=2000) to keep every worker busy until the end.
+_BLOCK_REPS = 50
 
 _FAMILIES = ("std_normal", "uniform_unit", "centered_exponential", "gaussian", "local_mixture")
 
@@ -153,6 +161,66 @@ def _derived_seed(*key):
     return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
 
 
+def _check_cells(cells):
+    """The cells (sigma_rule, d, n, m) as a list, each checked before any replication runs."""
+    cells = list(cells)
+    if not cells:
+        raise ValueError("need at least one cell")
+    for ci, (rule, d, n, m) in enumerate(cells):
+        if not all(isinstance(v, (int, np.integer)) for v in (d, n, m)) or d < 1 or n < 4 or m < 2:
+            raise ValueError(f"cell {ci} {tuple(cells[ci])}: need integers d >= 1, n >= 4 and m >= 2")
+        sigma_from_rule(rule, d)
+    return cells
+
+
+def _check_divisor(div):
+    if not isinstance(div, (int, np.integer)) or div < 2:
+        raise ValueError(f"divisor {div!r}: need an integer >= 2 (k = l = n // divisor)")
+
+
+def _worker_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _exact_scaled(kinds, spec, n, m, d, key, reps):
+    """{kind: (n + m) * statistic of each of reps fresh draws X, Y ~ N(0, I_d)}.
+
+    Replication rep draws from its own stream [*key, 0, rep].  Contiguous
+    blocks of _BLOCK_REPS reps run on a thread pool, one worker per available
+    CPU, each block filling its own slice; so the arrays equal the serial
+    loop's bit for bit.  With one CPU (or one block) the loop runs inline.
+    """
+    scaled = {kind: np.empty(reps) for kind in kinds}
+
+    def run(block):
+        # One set of Gram buffers per block, refilled by every rep: fresh
+        # blocks per rep can make the allocator hand pages back and fault them
+        # in again, at a cost that depends on the allocator's state.
+        k_x, k_y, k_xy = np.empty((n, n)), np.empty((m, m)), np.empty((n, m))
+        for rep in block:
+            rng = np.random.default_rng([*key, 0, rep])
+            x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+            raws = _raw_statistics(kinds, gram(x, x, spec, out=k_x), gram(y, y, spec, out=k_y),
+                                   gram(x, y, spec, out=k_xy))
+            for kind in kinds:
+                scaled[kind][rep] = (n + m) * max(float(raws[kind]), 0.0)
+
+    blocks = [range(lo, min(lo + _BLOCK_REPS, reps)) for lo in range(0, reps, _BLOCK_REPS)]
+    workers = min(_worker_count(), len(blocks))
+    if workers == 1:
+        run(range(reps))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # map re-raises a block's exception here and cancels the blocks not yet started.
+            for _ in pool.map(run, blocks):
+                pass
+    return scaled
+
+
 def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), iterations=1000, seed=0):
     """Simulated exact vs subsampled variance of the scaled statistic under P = Q.
 
@@ -161,20 +229,20 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     X, Y ~ N(0, I_d); each divisor contributes one subsampling estimate with
     k = l = n // divisor on a fresh X.  Through-origin slopes of exact
     against subsampled values across cells are appended per (kind, divisor) —
-    slope minus one is the tau calibration the test's defaults use.
+    slope minus one is the tau calibration the test's defaults use.  The
+    exact replications run on one thread per available CPU; each has its own
+    stream, so the rows equal those of a serial run bit for bit.
     """
-    cells = list(cells)
-    if not cells:
-        raise ValueError("need at least one cell")
+    cells = _check_cells(cells)
     kinds = _check_kinds(kinds)
     reps = int(reps)
     if reps < 2:
         raise ValueError(f"need reps >= 2 for a variance, got {reps}")
-    # Every cell and plan is checked before the first replication runs.
+    for div in divisors:
+        _check_divisor(div)
+    # Every plan is checked before the first replication runs.
     plans = {}
     for ci, (_, d, n, m) in enumerate(cells):
-        if not all(isinstance(v, (int, np.integer)) for v in (d, n, m)) or d < 1 or n < 4 or m < 2:
-            raise ValueError(f"cell {ci} {tuple(cells[ci])}: need integers d >= 1, n >= 4 and m >= 2")
         for div in divisors:
             plans[ci, div] = SubsamplingPlan(n1=n // 2, k=max(2, n // div), l=max(2, n // div),
                                              iterations=iterations, seed=_derived_seed(seed, ci, 1, div))
@@ -185,13 +253,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     for ci, (rule, d, n, m) in enumerate(cells):
         sigma = sigma_from_rule(rule, d)
         spec = KernelSpec(sigma=sigma)
-        scaled = {kind: np.empty(reps) for kind in kinds}
-        for rep in range(reps):
-            rng = np.random.default_rng([seed, ci, 0, rep])
-            x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
-            raws = _raw_statistics(kinds, gram(x, x, spec), gram(y, y, spec), gram(x, y, spec))
-            for kind in kinds:
-                scaled[kind][rep] = (n + m) * max(float(raws[kind]), 0.0)
+        scaled = _exact_scaled(kinds, spec, n, m, d, (seed, ci), reps)
         for kind in kinds:
             exact[ci, kind] = float(scaled[kind].var(ddof=1))
             rows.append({
@@ -264,13 +326,14 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
     tau may be None (per-kind defaults), a number (applied to every kind), or
     a dict {kind: tau}.
     """
-    cells = list(cells)
-    if not cells:
-        raise ValueError("need at least one cell")
+    cells = _check_cells(cells)
     kinds = _check_kinds(kinds)
     reps = int(reps)
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
+    _check_divisor(divisor)
+    for name in alternatives:
+        _alternative_spec(name, 1)
     scenarios = ["null"] + list(alternatives)
     rows = []
     for ci, (rule, d, n, m) in enumerate(cells):

@@ -135,7 +135,7 @@ def test_null_variance_of_scaled_statistic_in_reference_band():
 
 @pytest.mark.slow
 def test_type_one_error_and_power_bands():
-    """At the same cell the covariance test keeps its nominal level, has full
+    """At the same cell both tests keep their nominal level, the covariance test has full
     power against the centered exponential, and beats the mean-embedding test
     against the uniform alternative by at least two combined standard
     errors."""
@@ -147,6 +147,8 @@ def test_type_one_error_and_power_bands():
              for row in result.rows}
     mvd_null = rates["mvd", "null"][0]
     assert 0.03 <= mvd_null <= 0.09
+    mmd_null = rates["mmd", "null"][0]
+    assert 0.03 <= mmd_null <= 0.09
     assert rates["mvd", "exponential"][0] >= 0.95
     gap = rates["mvd", "uniform"][0] - rates["mmd", "uniform"][0]
     combined_se = math.hypot(rates["mvd", "uniform"][1], rates["mmd", "uniform"][1])

@@ -275,6 +275,16 @@ class TestClosedFormCommand:
         assert code == 1
         assert "variance scale" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("argv", [
+        ["closed-form", "--log-scale", "400", "--d", "2"],
+        ["curves", "--log-scale", "800"],
+    ])
+    def test_overflowing_log_scale_is_json_error(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "log_scale" in json.loads(err)["error"]
+
 
 class TestSimulateCommand:
     VARIANCE_ARGS = ["simulate", "--table", "variance", "--d", "2", "--n", "16",
@@ -345,13 +355,14 @@ class TestSimulateCommand:
         assert out_path.read_text(encoding="utf-8") == stdout
 
     def test_infeasible_plan_is_json_error(self, capsys):
-        # n = 3 gives a split point of 1, below the minimum subsample size
+        # n = 3 gives a split point of 1, below the minimum subsample size; the
+        # cell check refuses it before any replication.
         code, _, err = _run(capsys, ["simulate", "--table", "power", "--d", "1",
                                      "--n", "3", "--m", "6", "--reps", "1",
                                      "--divisor", "8", "--draws", "100",
                                      "--subsample-iters", "20", "--sigma", "0.4"])
         assert code == 1
-        assert "exceeds the first pool" in json.loads(err)["error"]
+        assert "need integers d >= 1, n >= 4 and m >= 2" in json.loads(err)["error"]
 
 
 class TestEntryPoint:

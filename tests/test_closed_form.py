@@ -1,6 +1,7 @@
 """Analytic discrepancy values between Gaussian distributions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -205,6 +206,30 @@ class TestLogScaleFactor:
                                    rtol=1e-12)
         np.testing.assert_allclose(mvd_sq_isotropic(0.5, 1.5, 3, 0.2, c=1.1),
                                    math.exp(2.2) * base, rtol=1e-12)
+
+    @pytest.mark.parametrize("func, args, c", [
+        (mvd_sq_isotropic, (1.0, 1.0, 2, 0.5), 400.0),      # e^(2c) overflows
+        (mmd_sq_isotropic, (1.0, 1.0, 2, 0.5), 800.0),      # e^c overflows
+        (mmd_sq_isotropic, (1000.0, 1.0, 1, 1e-3), 709.5),  # e^c is finite, the product (~2 e^c) is not
+    ])
+    def test_overflow_names_log_scale(self, func, args, c):
+        with pytest.raises(ValueError, match=re.escape(f"log_scale={c!r} is too large")):
+            func(*args, c=c)
+
+    def test_overflow_in_general_forms_and_curves(self):
+        q = GaussianSpec.isotropic(1.0, 1.0, 2)
+        with pytest.raises(ValueError, match="log_scale"):
+            mvd_sq_gaussian(q, 0.5, c=400.0)
+        with pytest.raises(ValueError, match="log_scale"):
+            mmd_sq_gaussian(q, 0.5, c=800.0)
+        with pytest.raises(ValueError, match="log_scale"):
+            mvd_mmd_curves([0.0, 1.0], [1.0], 2, 0.5, c=800.0)
+
+    def test_largest_finite_scale_still_evaluates(self):
+        value = mvd_sq_isotropic(1.0, 1.0, 2, 0.5, c=300.0)
+        assert math.isfinite(value)
+        np.testing.assert_allclose(value, math.exp(600.0) * mvd_sq_isotropic(1.0, 1.0, 2, 0.5),
+                                   rtol=1e-12)
 
 
 class TestCurves:

@@ -138,6 +138,16 @@ class TestGram:
         np.testing.assert_array_equal(own, np.exp(c - sigma * cdist(x, x, "sqeuclidean")))
         assert not np.shares_memory(own, x)
 
+    def test_out_buffer_is_filled_and_returned(self):
+        rng = np.random.default_rng(206)
+        x, y = rng.normal(size=(9, 3)), rng.normal(size=(6, 3))
+        spec = KernelSpec(sigma=0.7, log_scale=0.5)
+        buf = np.full((9, 6), np.nan)
+        for a in (x, 2.0 * x):  # the second call overwrites the first block
+            got = gram(a, y, spec, out=buf)
+            assert got is buf
+            np.testing.assert_array_equal(got, gram(a, y, spec))
+
     def test_unit_diagonal_at_zero_scale(self):
         rng = np.random.default_rng(204)
         x = rng.normal(size=(6, 3))

@@ -1,8 +1,11 @@
 """Samplers and Monte Carlo table builders."""
 
+import itertools
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +22,14 @@ from mvdtest import (
     type1_power_table,
     variance_table,
 )
-from mvdtest.simulate import _variance_se
+from mvdtest.simulate import _BLOCK_REPS, _variance_se
+
+BAD_CELLS = [
+    ("d^-3/4", 2, 3, 32),
+    ("d^-3/4", 2, 32, 1),
+    ("d^-3/4", 0, 32, 32),
+    (0.5, 2, 32.0, 32),
+]
 
 
 class TestSigmaFromRule:
@@ -222,19 +232,24 @@ class TestVarianceTable:
         with pytest.raises(ValueError, match="reps >= 2"):
             self._run(reps=1)
 
-    @pytest.mark.parametrize("cell", [
-        ("d^-3/4", 2, 3, 32),
-        ("d^-3/4", 2, 32, 1),
-        ("d^-3/4", 0, 32, 32),
-        (0.5, 2, 32.0, 32),
-    ])
+    @pytest.mark.parametrize("cell", BAD_CELLS)
     def test_rejects_bad_cell_before_any_replication(self, cell, monkeypatch):
-        def no_replication(*args):
+        def no_replication(*args, **kwargs):
             raise AssertionError("a replication ran before every cell was checked")
         monkeypatch.setattr(mvdtest.simulate, "gram", no_replication)
         want = re.escape(f"cell 1 {cell}: need integers d >= 1, n >= 4 and m >= 2")
         with pytest.raises(ValueError, match=want):
             self._run(cells=[self.CELL, cell])
+
+    @pytest.mark.parametrize("divisor", [0, 1, 4.0])
+    def test_rejects_bad_divisor_before_any_replication(self, divisor, monkeypatch):
+        # 0 used to raise a bare ZeroDivisionError, 1 a plan error about k.
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before the divisors were checked")
+        monkeypatch.setattr(mvdtest.simulate, "gram", no_replication)
+        want = re.escape(f"divisor {divisor!r}: need an integer >= 2")
+        with pytest.raises(ValueError, match=want):
+            self._run(divisors=(4, divisor))
 
     def test_smallest_cell_runs_every_divisor(self):
         res = self._run(cells=[("d^-3/4", 2, 4, 2)], divisors=(4, 6, 8))
@@ -244,6 +259,55 @@ class TestVarianceTable:
     def test_rejects_no_cells(self):
         with pytest.raises(ValueError, match="at least one cell"):
             variance_table(cells=[])
+
+
+class TestVarianceTableThreads:
+    """The exact replications run in blocks on a thread pool; rows must not depend on it."""
+
+    CELLS = [("d^-3/4", 2, 16, 12), ("d^-1", 3, 12, 16)]
+    REPS = 2 * _BLOCK_REPS + 7  # two full blocks and a short one
+
+    def _run(self, workers, monkeypatch):
+        monkeypatch.setattr(mvdtest.simulate, "_worker_count", lambda: workers)
+        return variance_table(cells=self.CELLS, reps=self.REPS, divisors=(4,), iterations=10, seed=11)
+
+    def test_rows_do_not_depend_on_worker_count(self, monkeypatch):
+        threads = set()
+        real_gram = mvdtest.simulate.gram
+
+        def recording_gram(x, y, spec, *, out=None):
+            threads.add(threading.get_ident())
+            return real_gram(x, y, spec, out=out)
+
+        monkeypatch.setattr(mvdtest.simulate, "gram", recording_gram)
+        serial = self._run(1, monkeypatch).rows
+        assert threads == {threading.get_ident()}
+        assert {r["kind"] for r in serial if r["estimate"] == "exact_variance"} == {"mvd", "mmd"}
+        assert self._run(2, monkeypatch).rows == serial
+        assert len(threads) > 1
+        # More workers than blocks, switching threads as often as the interpreter allows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert self._run(64, monkeypatch).rows == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_in_a_replication_reaches_the_caller(self, workers, monkeypatch):
+        failure = RuntimeError("gram failed")
+        calls = itertools.count(1)
+        real_gram = mvdtest.simulate.gram
+
+        def failing_gram(x, y, spec, *, out=None):
+            if next(calls) == 3 * _BLOCK_REPS + 2:  # a replication of the second block
+                raise failure
+            return real_gram(x, y, spec, out=out)
+
+        monkeypatch.setattr(mvdtest.simulate, "gram", failing_gram)
+        with pytest.raises(RuntimeError) as info:
+            self._run(workers, monkeypatch)
+        assert info.value is failure
 
 
 class TestTypeOnePowerTable:
@@ -298,3 +362,21 @@ class TestTypeOnePowerTable:
     def test_rejects_no_cells(self):
         with pytest.raises(ValueError, match="at least one cell"):
             type1_power_table(cells=[])
+
+    @pytest.mark.parametrize("cell", BAD_CELLS)
+    def test_rejects_bad_cell_before_any_replication(self, cell, monkeypatch):
+        # n = 3 used to fail on its first replication with "k=2 exceeds the first pool".
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before every cell was checked")
+        monkeypatch.setattr(mvdtest.simulate, "run_tests", no_replication)
+        want = re.escape(f"cell 1 {cell}: need integers d >= 1, n >= 4 and m >= 2")
+        with pytest.raises(ValueError, match=want):
+            self._run(cells=[self.CELL, cell])
+
+    @pytest.mark.parametrize("divisor", [0, 1, 8.0])
+    def test_rejects_bad_divisor_before_any_replication(self, divisor, monkeypatch):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before the divisor was checked")
+        monkeypatch.setattr(mvdtest.simulate, "run_tests", no_replication)
+        with pytest.raises(ValueError, match=re.escape(f"divisor {divisor!r}: need an integer >= 2")):
+            self._run(divisor=divisor)
