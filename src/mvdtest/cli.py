@@ -7,6 +7,7 @@ byte for byte.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -145,8 +146,10 @@ def build_parser():
     p_test.add_argument("--draws", type=int, default=10000, metavar="J",
                         help="Monte Carlo draws for the critical value (default: 10000)")
     p_test.add_argument("--n1", type=int, default=None, help="subsampling split point (default: n//2)")
-    p_test.add_argument("--k", type=int, default=None, help="subsample size from the first pool (default: n//8)")
-    p_test.add_argument("--l", type=int, default=None, help="subsample size from the second pool (default: n//8)")
+    p_test.add_argument("--k", type=int, default=None,
+                        help="subsample size from the first pool (default: max(2, n//8))")
+    p_test.add_argument("--l", type=int, default=None,
+                        help="subsample size from the second pool (default: max(2, n//8))")
     p_test.add_argument("--subsample-iters", type=int, default=1000, metavar="I",
                         help="subsampling iterations (default: 1000)")
     p_test.add_argument("--tau", type=float, default=None,
@@ -243,14 +246,9 @@ def cmd_test(args):
     d = x.shape[1]
     sigma = sigma_from_rule(args.sigma, d)
     spec = KernelSpec(sigma=sigma, log_scale=args.log_scale, family=args.kernel)
-    n = x.shape[0]
-    plan = SubsamplingPlan(
-        n1=args.n1 if args.n1 is not None else n // 2,
-        k=args.k if args.k is not None else max(2, n // 8),
-        l=args.l if args.l is not None else max(2, n // 8),
-        iterations=args.subsample_iters,
-        seed=args.seed,
-    )
+    plan = SubsamplingPlan.for_sample(x.shape[0], iterations=args.subsample_iters, seed=args.seed)
+    overrides = {name: getattr(args, name) for name in ("n1", "k", "l") if getattr(args, name) is not None}
+    plan = dataclasses.replace(plan, **overrides)
     reports = run_tests(x, y, spec, kinds=_kinds(args.kind), plan=plan, tau=args.tau,
                         alpha=args.alpha, draws=args.draws, seed=args.seed)
     payloads = [_report_payload(report, args, sigma, d) for report in reports]

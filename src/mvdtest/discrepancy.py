@@ -39,21 +39,30 @@ def _check_kinds(kinds):
 def _raw_statistics(kinds, k_x, k_y, k_xy):
     """Unclamped statistics {kind: value} of raw Gram blocks (..., k, k), (..., l, l), (..., k, l).
 
-    Leading axes index independent problems.  mmd takes the block sums, and
-    mvd then double-centers the blocks in place, rows then columns, and takes
-    their squared Frobenius norms.  The raw-sums identity for the centered
-    norms is not used: it cancels when the centered values are small.
+    Leading axes index independent problems.  Both statistics are unchanged
+    when one constant is subtracted from every kernel value, so all blocks are
+    first shifted in place by the mean of k_xy's first row (of the first
+    problem in a batch; callers batch only subsamples of one Gram matrix).
+    Without the shift a nearly constant kernel (a wide bandwidth) cancels in
+    the mmd sums, which then hold only to about 1e-16 * e^C and depend on the
+    row order.  mmd sums the shifted blocks' row means; mvd subtracts those
+    row means in place, then the column means, and takes the squared
+    Frobenius norms.  The raw-sums identity for the centered norms is not
+    used: it cancels when the centered values are small.
     """
     k, l = k_xy.shape[-2:]
     blocks = (k_x, k_y, k_xy)
-    terms = {}
-    if "mmd" in kinds:
-        terms["mmd"] = [b.sum(axis=(-2, -1)) for b in blocks]
-    if "mvd" in kinds:
-        for b in blocks:
-            b -= b.mean(axis=-1, keepdims=True)
+    shift = k_xy[(0,) * (k_xy.ndim - 1)].mean()
+    terms = {kind: [] for kind in kinds}
+    for b in blocks:  # one block at a time, while it is in cache
+        b -= shift
+        row_means = b.mean(axis=-1, keepdims=True)
+        if "mmd" in kinds:
+            terms["mmd"].append(row_means.sum(axis=(-2, -1)) * b.shape[-1])
+        if "mvd" in kinds:
+            b -= row_means
             b -= b.mean(axis=-2, keepdims=True)
-        terms["mvd"] = [np.einsum("...ij,...ij->...", b, b) for b in blocks]
+            terms["mvd"].append(np.einsum("...ij,...ij->...", b, b))
     return {kind: t[0] / k**2 - 2.0 * t[2] / (k * l) + t[1] / l**2 for kind, t in terms.items()}
 
 

@@ -11,7 +11,10 @@ the first moment is kept at the spectrum's own mean.
 """
 
 import math
+import os
+import threading
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +40,13 @@ _BLOCK_SCALARS = 1 << 22
 # of the n x n Gram matrix, and at 2^22 scalars (32 MB) they would dominate
 # the memory of a 200-row study, which needs under 80 MB in all.
 _CHUNK_SCALARS = 1 << 18
+
+# Scalars one subsampling iteration must gather before its chunks are spread
+# over several threads (k = l >= 74).  Below it an iteration's index draws,
+# which hold the GIL (about 50 us), are a large share of its work, so a second
+# lane gains little end to end while its buffers and thread raise the peak
+# memory of a 200-row study by about 5%; CHANGES.md has the measurements.
+_LANE_SCALARS = 1 << 14
 
 
 def default_tau(kind, fraction):
@@ -70,6 +80,12 @@ class SubsamplingPlan:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n1", "k", "l", "iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            # Stored as a Python int, so sizes and scales never wrap in numpy arithmetic.
+            object.__setattr__(self, name, int(value))
         if self.k < 2 or self.l < 2:
             raise ValueError(f"subsample sizes must be >= 2, got k={self.k}, l={self.l}")
         if self.k > self.n1:
@@ -86,7 +102,9 @@ class SubsamplingPlan:
 
     @classmethod
     def for_sample(cls, n, divisor=8, iterations=1000, seed=0):
-        """Default plan for n rows: split at n//2, subsample sizes n//divisor."""
+        """Default plan for n >= 4 rows: split at n//2, subsample sizes max(2, n//divisor)."""
+        if n < 4:
+            raise ValueError(f"x needs at least 4 rows for the default subsampling plan, got {n}")
         size = max(2, n // divisor)
         return cls(n1=n // 2, k=size, l=size, iterations=iterations, seed=seed)
 
@@ -204,7 +222,12 @@ def subsample_variance(x, spec, kind, plan, m):
     a chunk's blocks into stacked (b, k, k), (b, l, l) and (b, k, l) arrays,
     and one vectorized pass reduces them to b statistics.  A chunk holds at
     most about 2^18 gathered scalars (2 MB), or one iteration if a single
-    one needs more, so memory stays bounded whatever the iteration count.
+    one needs more, so memory stays bounded per lane whatever the iteration
+    count.  When one iteration gathers at least 2^14 scalars (k = l >= 74),
+    the chunks are shared out over one lane (a thread with its own index
+    buffers) per available CPU; each chunk keeps its boundaries, its streams
+    and its slice of the output, so the result is bit-identical to a run on
+    one lane.
     """
     _check_kind(kind)
     x = as_sample(x, "x")
@@ -215,31 +238,75 @@ def subsample_variance(x, spec, kind, plan, m):
     return _subsample_variance(gram(x, x, spec), (kind,), plan, m)[0]
 
 
+def _worker_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _subsample_variance(k_full, kinds, plan, m):
     """subsample_variance of each kind in kinds, from the n x n Gram block of x.
 
-    All kinds share each chunk's index sets and gathered blocks.
+    All kinds share each chunk's index sets and gathered blocks.  Lane 0 runs
+    in the calling thread and any further lanes on a thread pool; each lane
+    takes the next chunk not yet started until none is left.
     """
     n = k_full.shape[0]
     k, l = plan.k, plan.l
     raw = {kind: np.empty(plan.iterations) for kind in kinds}
-    chunk = max(1, _CHUNK_SCALARS // (k * k + l * l + k * l))
+    per_iteration = k * k + l * l + k * l
+    chunk = max(1, _CHUNK_SCALARS // per_iteration)
+    starts = range(0, plan.iterations, chunk)
+    workers = min(_worker_count(), len(starts)) if per_iteration >= _LANE_SCALARS else 1
+    todo = iter(starts)
+    lock = threading.Lock()
     # A take from flat row-major indices gathers the same entries as
     # k_full[rows[:, :, None], cols[:, None, :]], about 1.5x faster at n=2000.
     flat = k_full.ravel()
-    for start in range(0, plan.iterations, chunk):
-        stop = min(start + chunk, plan.iterations)
-        one = np.empty((stop - start, k), dtype=np.intp)
-        two = np.empty((stop - start, l), dtype=np.intp)
-        for row, i in enumerate(range(start, stop)):
-            rng = np.random.default_rng([plan.seed, 0, i])
-            one[row] = rng.choice(plan.n1, size=k, replace=False)
-            two[row] = plan.n1 + rng.choice(n - plan.n1, size=l, replace=False)
-        values = _raw_statistics(kinds, flat.take(one[:, :, None] * n + one[:, None, :]),
-                                 flat.take(two[:, :, None] * n + two[:, None, :]),
-                                 flat.take(one[:, :, None] * n + two[:, None, :]))
-        for kind in kinds:
-            raw[kind][start:stop] = values[kind]
+
+    def lane():
+        most = min(chunk, plan.iterations)
+        one = np.empty((most, k), dtype=np.intp)
+        two = np.empty((most, l), dtype=np.intp)
+        index = np.empty(most * max(k, l) ** 2, dtype=np.intp)
+
+        def gather(rows, cols):
+            idx = index[:rows.size * cols.shape[1]].reshape(*rows.shape, cols.shape[1])
+            np.add((rows * n)[:, :, None], cols[:, None, :], out=idx)
+            return flat.take(idx)
+
+        try:
+            while True:
+                with lock:
+                    start = next(todo, None)
+                if start is None:
+                    return
+                stop = min(start + chunk, plan.iterations)
+                for row, i in enumerate(range(start, stop)):
+                    rng = np.random.default_rng([plan.seed, 0, i])
+                    one[row] = rng.choice(plan.n1, size=k, replace=False)
+                    two[row] = plan.n1 + rng.choice(n - plan.n1, size=l, replace=False)
+                b = stop - start
+                values = _raw_statistics(kinds, gather(one[:b], one[:b]), gather(two[:b], two[:b]),
+                                         gather(one[:b], two[:b]))
+                for kind in kinds:
+                    raw[kind][start:stop] = values[kind]
+        except BaseException:
+            with lock:  # the other lanes take no further chunk
+                for _ in todo:
+                    pass
+            raise
+
+    if workers == 1:
+        lane()
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(lane) for _ in range(workers - 1)]
+            lane()
+            for future in futures:
+                future.result()
     scale = ((n + m) ** 4 / (n**2 * m**2)) * ((k * l) ** 2 / (k + l) ** 4)
     return tuple(float(((k + l) * np.maximum(raw[kind], 0.0)).var(ddof=1) * scale) for kind in kinds)
 
@@ -416,8 +483,6 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
         raise ValueError(f"samples have different dimensions: {x.shape[1]} vs {y.shape[1]}")
     n, m = x.shape[0], y.shape[0]
     if plan is None:
-        if n < 4:
-            raise ValueError(f"x needs at least 4 rows for the default subsampling plan, got {n}")
         plan = SubsamplingPlan.for_sample(n, seed=seed)
     plan.validate(n)
 

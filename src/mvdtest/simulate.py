@@ -8,7 +8,6 @@ replications on a thread pool and still return the rows of a serial run.
 """
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .discrepancy import _check_kinds, _raw_statistics
 from .kernels import KernelSpec, gram
-from .null import SubsamplingPlan, _subsample_variance, run_tests
+from .null import SubsamplingPlan, _subsample_variance, _worker_count, run_tests
 
 # Named bandwidth presets: sigma = d ** -exponent.
 SIGMA_RULES = {"d^-3/4": 0.75, "d^-7/8": 0.875, "d^-1": 1.0, "d^-2": 2.0}
@@ -178,14 +177,6 @@ def _check_divisor(div):
         raise ValueError(f"divisor {div!r}: need an integer >= 2 (k = l = n // divisor)")
 
 
-def _worker_count():
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _exact_scaled(kinds, spec, n, m, d, key, reps):
     """{kind: (n + m) * statistic of each of reps fresh draws X, Y ~ N(0, I_d)}.
 
@@ -244,8 +235,8 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     plans = {}
     for ci, (_, d, n, m) in enumerate(cells):
         for div in divisors:
-            plans[ci, div] = SubsamplingPlan(n1=n // 2, k=max(2, n // div), l=max(2, n // div),
-                                             iterations=iterations, seed=_derived_seed(seed, ci, 1, div))
+            plans[ci, div] = SubsamplingPlan.for_sample(n, divisor=div, iterations=iterations,
+                                                        seed=_derived_seed(seed, ci, 1, div))
             plans[ci, div].validate(n)
     rows = []
     exact = {}

@@ -208,6 +208,24 @@ class TestTestCommand:
         assert code == 1
         assert "not a number" in json.loads(err)["error"]
 
+    def test_partial_plan_override_keeps_the_other_defaults(self, capsys, sample_files):
+        _, _, x_path, y_path = sample_files
+        code, out, _ = _run(capsys, ["test", "--x", x_path, "--y", y_path, "--sigma", "0.5",
+                                     "--draws", "500", "--k", "6", "--subsample-iters", "50"])
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["n1"], payload["k"], payload["l"], payload["subsample_iters"]) == (20, 6, 5, 50)
+
+    @pytest.mark.parametrize("plan_args", [[], ["--n1", "1", "--k", "2", "--l", "2"]])
+    def test_three_row_x_is_json_error(self, capsys, tmp_path, sample_files, plan_args):
+        _, _, _, y_path = sample_files
+        x_path = tmp_path / "short.csv"
+        save_csv(np.random.default_rng(3).normal(size=(3, 2)), x_path)
+        code, out, err = _run(capsys, ["test", "--x", str(x_path), "--y", y_path] + plan_args)
+        assert code == 1
+        assert out == ""
+        assert "x needs at least 4 rows" in json.loads(err)["error"]
+
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["test", "--y", "y.csv"])

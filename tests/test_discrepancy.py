@@ -1,6 +1,7 @@
 """MVD and MMD statistics on Gram sets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,7 +40,12 @@ H_FROZEN = np.array([
 
 
 def _gram_set_statistic(x, y, spec, kind):
-    """statistic by the former GramSet path: centered blocks from build_gram_set, einsum norms."""
+    """statistic by the former GramSet path: centered blocks from build_gram_set, einsum norms.
+
+    mmd is evaluated exactly in rationals from the raw blocks.  In floats the
+    three sums of a nearly constant kernel carry errors of about 1e-16 * e^C,
+    which at sigma = 1e-3 is over 1e-12 of the statistic itself.
+    """
     g = build_gram_set(x, y, spec)
     n, m = g.n, g.m
     if kind == "mvd":
@@ -48,7 +54,9 @@ def _gram_set_statistic(x, y, spec, kind):
         a_yy = np.einsum("ij,ij->", g.kc_y, g.kc_y)
         raw = a_xx / n**2 - 2.0 * a_xy / (n * m) + a_yy / m**2
     else:
-        raw = g.k_x.sum() / n**2 - 2.0 * g.k_xy.sum() / (n * m) + g.k_y.sum() / m**2
+        def total(block):
+            return sum(map(Fraction, block.ravel().tolist()))
+        raw = total(g.k_x) / n**2 - 2 * total(g.k_xy) / (n * m) + total(g.k_y) / m**2
     return max(float(raw), 0.0)
 
 

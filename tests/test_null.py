@@ -1,7 +1,11 @@
 """Null-law weights, subsampling variance, moment correction, and the test runner."""
 
 import dataclasses
+import itertools
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -109,6 +113,20 @@ class TestSubsamplingPlan:
     def test_rejects_single_iteration(self):
         with pytest.raises(ValueError, match="at least 2 iterations"):
             SubsamplingPlan(n1=10, k=2, l=2, iterations=1)
+
+    @pytest.mark.parametrize("name", ["n1", "k", "l", "iterations", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 4.0, True, "4", None])
+    def test_rejects_non_integer_fields(self, name, bad):
+        fields = dict(n1=20, k=3, l=3, iterations=10, seed=0)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+            SubsamplingPlan(**{**fields, name: bad})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        # np.uint8 products would wrap (k * k = 400 > 255) if kept as numpy scalars.
+        plan = SubsamplingPlan(n1=np.int64(20), k=np.uint8(20), l=np.int32(3),
+                               iterations=np.int16(10), seed=np.uint64(7))
+        assert plan == SubsamplingPlan(n1=20, k=20, l=3, iterations=10, seed=7)
+        assert all(type(getattr(plan, name)) is int for name in ("n1", "k", "l", "iterations", "seed"))
 
     def test_validate_needs_second_pool(self):
         plan = SubsamplingPlan(n1=10, k=2, l=2)
@@ -309,6 +327,105 @@ class TestSubsampleVariance:
         plan = SubsamplingPlan(n1=6, k=2, l=2, iterations=5)
         with pytest.raises(ValueError, match="companion sample size"):
             subsample_variance(x, KernelSpec(sigma=1.0), "mvd", plan, 1)
+
+
+class TestSubsampleLanes:
+    """Above a size gate the chunks run on one lane per CPU; results must not depend on it."""
+
+    # 27100 scalars per iteration, above the gate: chunks of 9 iterations, the last one short.
+    ABOVE = SubsamplingPlan(n1=200, k=100, l=90, iterations=23, seed=31)
+    # 8325 scalars per iteration, below the gate: four chunks on one lane.
+    BELOW = SubsamplingPlan(n1=200, k=60, l=45, iterations=100, seed=37)
+
+    @staticmethod
+    def _k_x(sigma=0.5):
+        x = np.random.default_rng(67).normal(size=(400, 2))
+        return gram(x, x, KernelSpec(sigma=sigma, log_scale=0.5))
+
+    def test_plans_straddle_the_gate(self):
+        def scalars(p):
+            return p.k * p.k + p.l * p.l + p.k * p.l
+        assert scalars(self.BELOW) < mvdtest.null._LANE_SCALARS <= scalars(self.ABOVE)
+        chunk = mvdtest.null._CHUNK_SCALARS // scalars(self.ABOVE)
+        assert 2 <= self.ABOVE.iterations // chunk and self.ABOVE.iterations % chunk != 0
+
+    @pytest.mark.parametrize("plan", [ABOVE, BELOW], ids=["above", "below"])
+    @pytest.mark.parametrize("sigma", [1e-3, 20.0])
+    def test_results_do_not_depend_on_worker_count(self, plan, sigma, monkeypatch):
+        k_x = self._k_x(sigma)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for kinds in (("mvd", "mmd"), ("mmd", "mvd"), ("mvd",), ("mmd",)):
+                got = []
+                for workers in (1, 2, 64):
+                    monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: workers)
+                    got.append(mvdtest.null._subsample_variance(k_x, kinds, plan, 350))
+                assert got[1] == got[0] and got[2] == got[0]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_lanes_match_reference_loop(self, monkeypatch):
+        x = np.random.default_rng(68).normal(size=(400, 2))
+        spec = KernelSpec(sigma=0.7)
+        monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: 2)
+        for kind in ("mvd", "mmd"):
+            np.testing.assert_allclose(subsample_variance(x, spec, kind, self.ABOVE, 350),
+                                       _reference_subsample_variance(x, spec, kind, self.ABOVE, 350),
+                                       rtol=1e-12)
+
+    def test_only_plans_above_the_gate_start_a_pool(self, monkeypatch):
+        pools = []
+        lanes = set()
+        real_raw = mvdtest.null._raw_statistics
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        def recording_raw(*args):
+            lanes.add(threading.get_ident())
+            return real_raw(*args)
+
+        monkeypatch.setattr(mvdtest.null, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(mvdtest.null, "_raw_statistics", recording_raw)
+        monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: 64)
+        k_x = self._k_x()
+        mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), self.BELOW, 350)
+        assert pools == [] and lanes == {threading.get_ident()}
+        mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), self.ABOVE, 350)
+        assert pools == [2]  # three chunks: the caller's lane and two pool lanes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_in_a_chunk_reaches_the_caller(self, workers, monkeypatch):
+        failure = RuntimeError("statistic failed")
+        calls = itertools.count(1)
+        real_raw = mvdtest.null._raw_statistics
+
+        def failing_raw(*args):
+            if next(calls) == 2:
+                raise failure
+            return real_raw(*args)
+
+        monkeypatch.setattr(mvdtest.null, "_raw_statistics", failing_raw)
+        monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: workers)
+        with pytest.raises(RuntimeError) as info:
+            mvdtest.null._subsample_variance(self._k_x(), ("mvd", "mmd"), self.ABOVE, 350)
+        assert info.value is failure
+
+    def test_run_tests_reports_do_not_depend_on_worker_count(self, monkeypatch):
+        # n = 600 gives the default k = l = 75, above the gate.
+        rng = np.random.default_rng(69)
+        x, y = rng.normal(size=(600, 2)), rng.normal(size=(450, 2))
+        plan = SubsamplingPlan.for_sample(600, iterations=40, seed=3)
+        assert 3 * plan.k**2 >= mvdtest.null._LANE_SCALARS
+        got = []
+        for workers in (1, 2):
+            monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: workers)
+            reports = run_tests(x, y, KernelSpec(sigma=0.5), plan=plan, draws=400, seed=3)
+            got.append([dataclasses.asdict(rep) for rep in reports])
+        assert got[1] == got[0]
 
 
 class TestFitWprime:
