@@ -48,6 +48,102 @@ _CHUNK_SCALARS = 1 << 18
 # memory of a 200-row study by about 5%; CHANGES.md has the measurements.
 _LANE_SCALARS = 1 << 14
 
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
+# 128-bit LCG multiplier, used to seed many streams at once.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _check_seed(seed):
+    """seed as a Python int; the RNG streams [seed, ...] need a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return int(seed)
+
+
+def _pcg64_states(prefix, indices):
+    """bit_generator.state of default_rng([*prefix, i]) for each i in indices, in one pass.
+
+    This replays SeedSequence (entropy hashed into a pool of four uint32
+    words, then generate_state(4, uint64)) on uint32 arrays with one element
+    per index, and PCG64's set-seed on Python ints.  The prefix entries must
+    be non-negative ints and every index below 2^32.
+    """
+    indices = np.asarray(indices, dtype=np.uint64)
+    if indices.size and int(indices.max()) > _MASK32:
+        raise ValueError("stream indices must be below 2^32")
+    words = []  # each prefix int as little-endian uint32 words; 0 is one word
+    for value in prefix:
+        value = int(value)
+        while True:
+            words.append(value & _MASK32)
+            value >>= 32
+            if not value:
+                break
+    entropy = [np.full(indices.shape, word, dtype=np.uint32) for word in words]
+    entropy.append(indices.astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(_XSHIFT))
+
+    with np.errstate(over="ignore"):
+        zero = np.zeros(indices.shape, dtype=np.uint32)
+        pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_const = _INIT_B
+        out = []
+        for i in range(8):
+            value = pool[i % 4] ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            value = value * np.uint32(hash_const)
+            out.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
+    # generate_state(4, uint64): pairs of uint32 words, low word first.
+    seeds = [(out[2 * i] | (out[2 * i + 1] << np.uint64(32))).tolist() for i in range(4)]
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
+def _stream_states(prefix, count):
+    """bit_generator.state of the streams default_rng([*prefix, i]) for i in range(count).
+
+    Assigning states[i] to a PCG64's state gives exactly the stream
+    default_rng([*prefix, i]) would, at a fraction of the cost of building
+    it.  Stream 0 is checked against default_rng once per call, so a numpy
+    whose seeding differs fails loudly instead of drawing other numbers.
+    """
+    states = _pcg64_states(prefix, np.arange(count))
+    if states[0] != np.random.default_rng([*prefix, 0]).bit_generator.state:
+        raise RuntimeError(f"numpy {np.__version__} seeds default_rng differently from the "
+                           "SeedSequence and PCG64 algorithms mvdtest replays")
+    return states
+
 
 def default_tau(kind, fraction):
     """Default variance inflation tau for a subsample fraction k/n.
@@ -69,8 +165,8 @@ class SubsamplingPlan:
     Rows [0, n1) and [n1, n) form two disjoint pools.  Every iteration draws
     k rows from the first pool and l from the second, both without
     replacement, and treats them as a fresh two-sample problem.  Iteration i
-    uses the RNG stream seeded by (seed, 0, i), so results are independent
-    of evaluation order.
+    uses the RNG stream default_rng([seed, 0, i]), so results are independent
+    of evaluation order; seed must be a non-negative integer.
     """
 
     n1: int
@@ -92,6 +188,7 @@ class SubsamplingPlan:
             raise ValueError(f"k={self.k} exceeds the first pool (n1={self.n1})")
         if self.iterations < 2:
             raise ValueError(f"need at least 2 iterations, got {self.iterations}")
+        _check_seed(self.seed)
 
     def validate(self, n):
         """Check the plan is feasible for a sample with n rows."""
@@ -217,7 +314,11 @@ def subsample_variance(x, spec, kind, plan, m):
     The full Gram matrix of x is computed once and subsample Gram blocks are
     taken as submatrices, which gives identical values to rebuilding them
     from the raw rows.  Iteration i draws its rows from the stream
-    (plan.seed, 0, i), so the rows it uses do not depend on evaluation order.
+    default_rng([plan.seed, 0, i]), so the rows it uses do not depend on
+    evaluation order.  All streams are seeded in one vectorized pass, and each
+    lane resets one Generator of its own to an iteration's state; stream 0 is
+    checked against default_rng on every call, and a mismatch (a numpy that
+    seeds differently) raises RuntimeError.
     The iterations are evaluated in chunks: one gather per block type copies
     a chunk's blocks into stacked (b, k, k), (b, l, l) and (b, k, l) arrays,
     and one vectorized pass reduces them to b statistics.  A chunk holds at
@@ -266,11 +367,15 @@ def _subsample_variance(k_full, kinds, plan, m):
     # k_full[rows[:, :, None], cols[:, None, :]], about 1.5x faster at n=2000.
     flat = k_full.ravel()
 
+    states = _stream_states((plan.seed, 0), plan.iterations)
+
     def lane():
         most = min(chunk, plan.iterations)
         one = np.empty((most, k), dtype=np.intp)
         two = np.empty((most, l), dtype=np.intp)
         index = np.empty(most * max(k, l) ** 2, dtype=np.intp)
+        bits = np.random.PCG64()
+        rng = np.random.Generator(bits)
 
         def gather(rows, cols):
             idx = index[:rows.size * cols.shape[1]].reshape(*rows.shape, cols.shape[1])
@@ -285,10 +390,11 @@ def _subsample_variance(k_full, kinds, plan, m):
                     return
                 stop = min(start + chunk, plan.iterations)
                 for row, i in enumerate(range(start, stop)):
-                    rng = np.random.default_rng([plan.seed, 0, i])
+                    bits.state = states[i]
                     one[row] = rng.choice(plan.n1, size=k, replace=False)
-                    two[row] = plan.n1 + rng.choice(n - plan.n1, size=l, replace=False)
+                    two[row] = rng.choice(n - plan.n1, size=l, replace=False)
                 b = stop - start
+                two[:b] += plan.n1
                 values = _raw_statistics(kinds, gather(one[:b], one[:b]), gather(two[:b], two[:b]),
                                          gather(one[:b], two[:b]))
                 for kind in kinds:
@@ -476,7 +582,7 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
             _check_kind(key)
     draws = int(draws)
     _check_level(alpha, draws, "draws")
-    seed = int(seed)
+    seed = _check_seed(seed)
     x = as_sample(x, "x")
     y = as_sample(y, "y")
     if x.shape[1] != y.shape[1]:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .discrepancy import _check_kinds, _raw_statistics
 from .kernels import KernelSpec, gram
-from .null import SubsamplingPlan, _subsample_variance, _worker_count, run_tests
+from .null import SubsamplingPlan, _check_seed, _stream_states, _subsample_variance, _worker_count, run_tests
 
 # Named bandwidth presets: sigma = d ** -exponent.
 SIGMA_RULES = {"d^-3/4": 0.75, "d^-7/8": 0.875, "d^-1": 1.0, "d^-2": 2.0}
@@ -180,20 +180,25 @@ def _check_divisor(div):
 def _exact_scaled(kinds, spec, n, m, d, key, reps):
     """{kind: (n + m) * statistic of each of reps fresh draws X, Y ~ N(0, I_d)}.
 
-    Replication rep draws from its own stream [*key, 0, rep].  Contiguous
-    blocks of _BLOCK_REPS reps run on a thread pool, one worker per available
-    CPU, each block filling its own slice; so the arrays equal the serial
-    loop's bit for bit.  With one CPU (or one block) the loop runs inline.
+    Replication rep draws from its own stream [*key, 0, rep].  All streams
+    are seeded in one pass before any block starts, and each block resets one
+    Generator of its own to a rep's stream.  Contiguous blocks of _BLOCK_REPS
+    reps run on a thread pool, one worker per available CPU, each block
+    filling its own slice; so the arrays equal the serial loop's bit for bit.
+    With one CPU (or one block) the loop runs inline.
     """
     scaled = {kind: np.empty(reps) for kind in kinds}
+    states = _stream_states((*key, 0), reps)
 
     def run(block):
         # One set of Gram buffers per block, refilled by every rep: fresh
         # blocks per rep can make the allocator hand pages back and fault them
         # in again, at a cost that depends on the allocator's state.
         k_x, k_y, k_xy = np.empty((n, n)), np.empty((m, m)), np.empty((n, m))
+        bits = np.random.PCG64()
+        rng = np.random.Generator(bits)
         for rep in block:
-            rng = np.random.default_rng([*key, 0, rep])
+            bits.state = states[rep]
             x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
             raws = _raw_statistics(kinds, gram(x, x, spec, out=k_x), gram(y, y, spec, out=k_y),
                                    gram(x, y, spec, out=k_xy))
@@ -226,6 +231,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     """
     cells = _check_cells(cells)
     kinds = _check_kinds(kinds)
+    seed = _check_seed(seed)
     reps = int(reps)
     if reps < 2:
         raise ValueError(f"need reps >= 2 for a variance, got {reps}")
@@ -278,7 +284,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
             })
     config = {
         "table": "variance", "cells": [list(c) for c in cells], "kinds": list(kinds),
-        "reps": reps, "divisors": list(divisors), "iterations": int(iterations), "seed": int(seed),
+        "reps": reps, "divisors": list(divisors), "iterations": int(iterations), "seed": seed,
     }
     return ExperimentResult(config=config, rows=tuple(rows))
 
@@ -319,6 +325,7 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
     """
     cells = _check_cells(cells)
     kinds = _check_kinds(kinds)
+    seed = _check_seed(seed)
     reps = int(reps)
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
@@ -354,6 +361,6 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
         "table": "power", "cells": [list(c) for c in cells], "alternatives": list(alternatives),
         "kinds": list(kinds), "alpha": float(alpha), "reps": reps, "divisor": int(divisor),
         "iterations": int(iterations), "draws": int(draws),
-        "tau": tau if tau is None or isinstance(tau, (int, float)) else dict(tau), "seed": int(seed),
+        "tau": tau if tau is None or isinstance(tau, (int, float)) else dict(tau), "seed": seed,
     }
     return ExperimentResult(config=config, rows=tuple(rows))

@@ -226,6 +226,13 @@ class TestTestCommand:
         assert out == ""
         assert "x needs at least 4 rows" in json.loads(err)["error"]
 
+    def test_negative_seed_is_json_error(self, capsys, sample_files):
+        _, _, x_path, y_path = sample_files
+        code, out, err = _run(capsys, ["test", "--x", x_path, "--y", y_path, "--seed", "-2"])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "seed must be a non-negative integer, got -2"
+
     def test_missing_required_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["test", "--y", "y.csv"])

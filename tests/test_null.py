@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -127,6 +128,11 @@ class TestSubsamplingPlan:
                                iterations=np.int16(10), seed=np.uint64(7))
         assert plan == SubsamplingPlan(n1=20, k=20, l=3, iterations=10, seed=7)
         assert all(type(getattr(plan, name)) is int for name in ("n1", "k", "l", "iterations", "seed"))
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
+            SubsamplingPlan(n1=10, k=3, l=3, iterations=10, seed=seed)
 
     def test_validate_needs_second_pool(self):
         plan = SubsamplingPlan(n1=10, k=2, l=2)
@@ -428,6 +434,68 @@ class TestSubsampleLanes:
         assert got[1] == got[0]
 
 
+class TestStreamStates:
+    """Every subsample stream is seeded in one vectorized pass; it must be default_rng's stream."""
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130]
+    INDICES = [0, 1, 999, 2**32 - 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("middle", [(0,), (3, 0)], ids=["seed-0-i", "seed-3-0-i"])
+    def test_states_match_default_rng(self, seed, middle):
+        prefix = (seed, *middle)
+        got = mvdtest.null._pcg64_states(prefix, self.INDICES)
+        assert got == [np.random.default_rng([*prefix, i]).bit_generator.state for i in self.INDICES]
+
+    @pytest.mark.parametrize("seed", [7, 2**70 + 3])
+    def test_choice_outputs_match_default_rng(self, seed):
+        states = mvdtest.null._stream_states((seed, 0), 1000)
+        bits = np.random.PCG64()
+        rng = np.random.Generator(bits)
+        for i, state in enumerate(states):
+            bits.state = state
+            want = np.random.default_rng([seed, 0, i])
+            assert np.array_equal(rng.choice(100, size=25, replace=False),
+                                  want.choice(100, size=25, replace=False))
+            assert np.array_equal(rng.choice(100, size=25, replace=False),
+                                  want.choice(100, size=25, replace=False))
+
+    def test_subsample_variance_matches_reference_at_a_wide_seed(self, monkeypatch):
+        x = np.random.default_rng(70).normal(size=(40, 3))
+        plan = SubsamplingPlan(n1=20, k=6, l=5, iterations=200, seed=2**70 + 3)
+        k_x = gram(x, x, KernelSpec(sigma=0.7))
+        got = mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), plan, 30)
+        for kind, value in zip(("mvd", "mmd"), got):
+            # The reference sums each statistic in another order, so it agrees to
+            # round-off; a wrong stream would move v_sub by far more.
+            np.testing.assert_allclose(value, _reference_subsample_variance(
+                x, KernelSpec(sigma=0.7), kind, plan, 30), rtol=1e-12)
+
+        def default_rng_states(prefix, count):
+            return [np.random.default_rng([*prefix, i]).bit_generator.state for i in range(count)]
+
+        monkeypatch.setattr(mvdtest.null, "_stream_states", default_rng_states)
+        assert mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), plan, 30) == got
+
+    def test_self_check_refuses_a_wrong_state(self, monkeypatch):
+        real = mvdtest.null._pcg64_states
+
+        def off_by_one(prefix, indices):
+            states = real(prefix, indices)
+            pcg = states[0]["state"]
+            states[0] = {**states[0], "state": {**pcg, "state": pcg["state"] ^ 1}}
+            return states
+
+        monkeypatch.setattr(mvdtest.null, "_pcg64_states", off_by_one)
+        with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} seeds default_rng"):
+            mvdtest.null._subsample_variance(TestSubsampleLanes._k_x(), ("mvd",),
+                                             TestSubsampleLanes.BELOW, 350)
+
+    def test_rejects_indices_beyond_one_word(self):
+        with pytest.raises(ValueError, match="below 2\\^32"):
+            mvdtest.null._pcg64_states((0, 0), [2**32])
+
+
 class TestFitWprime:
     def test_hand_case(self):
         # one unit weight, rho = 1/2: mu_S = 4, V_S = 32; v_sub = 8, tau = 0
@@ -638,6 +706,18 @@ class TestRunTest:
                     assert math.isfinite(value), f.name
             assert 0.0 <= rep.p_value <= 1.0
             assert rep.reject == (rep.statistic > rep.critical_value)
+
+    def test_rejects_negative_seed(self):
+        x, y = self._samples()
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -3$"):
+            run_tests(x, y, KernelSpec(sigma=0.5), draws=200, seed=-3)
+
+    @pytest.mark.parametrize("seed", [2.7, 2.0, True, "2"])
+    def test_rejects_non_integer_seed(self, seed):
+        # int() would silently run 2.7 as seed 2.
+        x, y = self._samples()
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            run_tests(x, y, KernelSpec(sigma=0.5), draws=200, seed=seed)
 
     def test_default_plan_needs_four_rows(self):
         x, y = self._samples(n=3, m=10)

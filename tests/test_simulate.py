@@ -228,6 +228,10 @@ class TestVarianceTable:
         with pytest.raises(ValueError, match="distinct"):
             self._run(kinds=("mvd", "mvd"))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            self._run(seed=-1)
+
     def test_rejects_too_few_reps(self):
         with pytest.raises(ValueError, match="reps >= 2"):
             self._run(reps=1)
@@ -293,6 +297,16 @@ class TestVarianceTableThreads:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_rows_at_a_wide_seed_do_not_depend_on_worker_count(self, monkeypatch):
+        # Seeds of two or more words move the streams' replication index to a
+        # later SeedSequence word.
+        rows = []
+        for workers in (1, 2):
+            monkeypatch.setattr(mvdtest.simulate, "_worker_count", lambda: workers)
+            rows.append(variance_table(cells=self.CELLS, reps=self.REPS, divisors=(4,), iterations=10,
+                                       seed=2**40 + 1).rows)
+        assert rows[1] == rows[0]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_in_a_replication_reaches_the_caller(self, workers, monkeypatch):
         failure = RuntimeError("gram failed")
@@ -354,6 +368,10 @@ class TestTypeOnePowerTable:
         # A repeated kind would count its rejections twice.
         with pytest.raises(ValueError, match="distinct"):
             self._run(kinds=("mvd", "mvd"))
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            self._run(seed=-1)
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError, match="reps >= 1"):
