@@ -14,7 +14,7 @@ cancellation are clamped to zero.
 
 import numpy as np
 
-from .kernels import center_gram
+from .kernels import _center
 
 KINDS = ("mvd", "mmd")
 
@@ -41,29 +41,46 @@ def _raw_statistics(kinds, k_x, k_y, k_xy):
 
     Leading axes index independent problems.  Both statistics are unchanged
     when one constant is subtracted from every kernel value, so all blocks are
-    first shifted in place by the mean of k_xy's first row (of the first
-    problem in a batch; callers batch only subsamples of one Gram matrix).
-    Without the shift a nearly constant kernel (a wide bandwidth) cancels in
-    the mmd sums, which then hold only to about 1e-16 * e^C and depend on the
-    row order.  mmd sums the shifted blocks' row means; mvd subtracts those
-    row means in place, then the column means, and takes the squared
-    Frobenius norms.  The raw-sums identity for the centered norms is not
-    used: it cancels when the centered values are small.
+    first shifted in place by _shift(k_xy) (of the first problem in a batch;
+    callers batch only subsamples of one Gram matrix).  Without the shift a
+    nearly constant kernel (a wide bandwidth) cancels in the mmd sums, which
+    then hold only to about 1e-16 * e^C and depend on the row order.  Each
+    block is reduced by _block_terms, one at a time while it is in cache, and
+    _combine_terms weighs the three terms.
     """
-    k, l = k_xy.shape[-2:]
-    blocks = (k_x, k_y, k_xy)
-    shift = k_xy[(0,) * (k_xy.ndim - 1)].mean()
-    terms = {kind: [] for kind in kinds}
-    for b in blocks:  # one block at a time, while it is in cache
-        b -= shift
-        row_means = b.mean(axis=-1, keepdims=True)
-        if "mmd" in kinds:
-            terms["mmd"].append(row_means.sum(axis=(-2, -1)) * b.shape[-1])
-        if "mvd" in kinds:
-            b -= row_means
-            b -= b.mean(axis=-2, keepdims=True)
-            terms["mvd"].append(np.einsum("...ij,...ij->...", b, b))
-    return {kind: t[0] / k**2 - 2.0 * t[2] / (k * l) + t[1] / l**2 for kind, t in terms.items()}
+    shift = _shift(k_xy)
+    terms = [_block_terms(kinds, b, shift) for b in (k_x, k_y, k_xy)]
+    return _combine_terms(kinds, *terms, *k_xy.shape[-2:])
+
+
+def _shift(k_xy):
+    """The constant every block is shifted by: the mean of k_xy's first row."""
+    return k_xy[(0,) * (k_xy.ndim - 1)].mean()
+
+
+def _block_terms(kinds, b, shift):
+    """Each kind's term {kind: value} of one raw Gram block b (..., r, c); b is overwritten.
+
+    b is shifted in place by shift.  mmd sums the shifted block's row means;
+    mvd subtracts those row means in place, then the column means, and takes
+    the squared Frobenius norm.  The raw-sums identity for the centered norm
+    is not used: it cancels when the centered values are small.
+    """
+    b -= shift
+    row_means = b.mean(axis=-1, keepdims=True)
+    terms = {}
+    if "mmd" in kinds:
+        terms["mmd"] = row_means.sum(axis=(-2, -1)) * b.shape[-1]
+    if "mvd" in kinds:
+        b -= row_means
+        b -= b.mean(axis=-2, keepdims=True)
+        terms["mvd"] = np.einsum("...ij,...ij->...", b, b)
+    return terms
+
+
+def _combine_terms(kinds, t_x, t_y, t_xy, k, l):
+    """Unclamped statistics {kind: value} from the block terms of k x k, l x l and k x l blocks."""
+    return {kind: t_x[kind] / k**2 - 2.0 * t_xy[kind] / (k * l) + t_y[kind] / l**2 for kind in kinds}
 
 
 def statistic(g, kind):
@@ -102,5 +119,6 @@ def h_matrix(g):
 
 
 def _h_matrix(kc_x):
-    """h_matrix from the centered first-sample Gram block alone."""
-    return center_gram(kc_x * kc_x)
+    """h_matrix from the centered first-sample Gram block alone, centering its fresh square in place."""
+    sq = kc_x * kc_x
+    return _center(sq, out=sq)

@@ -81,15 +81,29 @@ def gram(x, y, spec, *, out=None):
 
 
 def center_gram(k):
-    """Double-center a Gram block: K~ = P_n K P_m.
+    """Double-center a Gram block into a new array: K~ = P_n K P_m.
 
     Implemented as K - row means - column means + grand mean, which is the
-    same projection without ever forming P_n (O(nm) time and memory).
+    same projection without ever forming P_n (O(nm) time, one new n x m
+    array).  k itself is left unchanged.
     """
-    k = np.asarray(k, dtype=float)
+    return _center(np.asarray(k, dtype=float))
+
+
+def _center(k, out=None):
+    """center_gram of k, written to out (a new array when out is None).
+
+    The three means are taken before any entry is written, so out may be k
+    itself.  The elementwise steps are those of k - row - col + mean, in that
+    order, so the bits are too.
+    """
     row = k.mean(axis=1, keepdims=True)
     col = k.mean(axis=0, keepdims=True)
-    return k - row - col + k.mean()
+    mean = k.mean()
+    out = np.subtract(k, row, out=out)
+    out -= col
+    out += mean
+    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import KINDS, _check_kind, _check_kinds, _h_matrix, _raw_statistics
+from .discrepancy import (KINDS, _block_terms, _check_kind, _check_kinds, _combine_terms, _h_matrix,
+                          _raw_statistics, _shift)
 from .kernels import as_sample, center_gram, gram
 
 # Variance-inflation defaults keyed by the subsample fraction k/n.  These are
@@ -230,29 +231,48 @@ def spectral_weights(source, n):
     statistic.  Both annihilate the all-ones vector, so exactly one zero
     eigenvalue is structural and is dropped; remaining negatives can only be
     round-off from the eigensolver and are clamped to zero.
+
+    source must be symmetric to within 1e-8 of its largest magnitude.  It is
+    left unchanged: the weights come from one private copy, scaled in place.
     """
-    a = np.asarray(source, dtype=float)
+    a = np.array(source, dtype=float)
     if a.ndim != 2 or a.shape != (n, n):
         raise ValueError(f"source must be {n} x {n}, got shape {a.shape}")
-    if np.isfinite(a).all():
-        scale = float(np.abs(a).max()) if a.size else 0.0
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * max(scale, 1e-300)):
+    if np.isfinite(a).all() and a.size:
+        scale = max(float(a.max()), -float(a.min()))
+        if not _is_symmetric(a, 1e-8 * max(scale, 1e-300)):
             raise ValueError("source matrix is not symmetric")
     return _spectral_weights(a, n)
 
 
-def _spectral_weights(a, n):
-    """spectral_weights of a matrix built inside the package, without the symmetry check.
+def _is_symmetric(a, atol):
+    """np.allclose(a, a.T, rtol=0, atol=atol) for a finite square a, in bands of rows.
 
-    Such a matrix is symmetric up to round-off, which can exceed the public
-    check's tolerance when the kernel is nearly constant (tiny sigma).
-    eigvalsh reads only the lower triangle, so the round-off in the upper one
-    cannot change the weights.
+    Each band holds at most about _CHUNK_SCALARS entries, so the check needs
+    no n x n temporary.
+    """
+    rows = max(1, _CHUNK_SCALARS // a.shape[0])
+    for start in range(0, a.shape[0], rows):
+        band = slice(start, start + rows)
+        if not (np.abs(a[band] - a[:, band].T) <= atol).all():
+            return False
+    return True
+
+
+def _spectral_weights(a, n):
+    """spectral_weights of a matrix a the caller owns, without the symmetry check.
+
+    a is divided by n in place.  A matrix built inside the package is
+    symmetric up to round-off, which can exceed the public check's tolerance
+    when the kernel is nearly constant (tiny sigma).  eigvalsh reads only the
+    lower triangle, so the round-off in the upper one cannot change the
+    weights.
     """
     if not np.isfinite(a).all():
         raise ValueError("source matrix has non-finite entries: the kernel values "
                          "overflowed float64; lower KernelSpec.log_scale")
-    eigs = np.linalg.eigvalsh(a / n)  # ascending
+    a /= n
+    eigs = np.linalg.eigvalsh(a)  # ascending
     eigs = eigs[1:]  # drop the structural zero (the smallest eigenvalue)
     negative = eigs < 0.0
     lambdas = np.where(negative, 0.0, eigs)[::-1]
@@ -281,9 +301,10 @@ def sample_weighted_chisq(w, rho, j, seed=0):
 def _weighted_chisq_draws(lams, rho, j, seed):
     """sample_weighted_chisq for several weight vectors of one length, from one stream.
 
-    Each block of normals Z is drawn and squared once; every weight vector
-    then takes its own product with Z^2, so its draws are exactly those
-    sample_weighted_chisq gives it alone.  A vector of zeros gets zeros.
+    Each block of normals Z is drawn into one reused buffer and squared once;
+    every weight vector then takes its own product with Z^2, so its draws are
+    exactly those sample_weighted_chisq gives it alone.  A vector of zeros
+    gets zeros.
     """
     outs = [np.zeros(j) for _ in lams]
     live = [(out, lam) for out, lam in zip(outs, lams) if lam.any()]
@@ -293,9 +314,10 @@ def _weighted_chisq_draws(lams, rho, j, seed):
     rng = np.random.default_rng(seed)
     denom = rho * (1.0 - rho)
     rows = max(1, _BLOCK_SCALARS // size)
+    block = np.empty((min(rows, j), size))
     for start in range(0, j, rows):
         stop = min(j, start + rows)
-        zz = rng.standard_normal((stop - start, size))
+        zz = rng.standard_normal(out=block[:stop - start])
         np.multiply(zz, zz, out=zz)
         for out, lam in live:
             out[start:stop] = zz @ lam / denom
@@ -374,13 +396,19 @@ def _subsample_variance(k_full, kinds, plan, m):
         one = np.empty((most, k), dtype=np.intp)
         two = np.empty((most, l), dtype=np.intp)
         index = np.empty(most * max(k, l) ** 2, dtype=np.intp)
+        # Gather outputs allocated once: fresh ones per chunk can be trimmed
+        # from the heap and faulted in again every time.
+        blocks_x, blocks_y, blocks_xy = (np.empty((most, r, c)) for r, c in ((k, k), (l, l), (k, l)))
         bits = np.random.PCG64()
         rng = np.random.Generator(bits)
 
-        def gather(rows, cols):
+        def gather(rows, cols, out):
             idx = index[:rows.size * cols.shape[1]].reshape(*rows.shape, cols.shape[1])
             np.add((rows * n)[:, :, None], cols[:, None, :], out=idx)
-            return flat.take(idx)
+            # The indices lie in [0, n^2) by construction.  mode="raise" would
+            # route out through a temporary copy, about 0.45 s CPU per 1000
+            # iterations at n = 2000.
+            return flat.take(idx, out=out[:len(rows)], mode="clip")
 
         try:
             while True:
@@ -395,8 +423,9 @@ def _subsample_variance(k_full, kinds, plan, m):
                     two[row] = rng.choice(n - plan.n1, size=l, replace=False)
                 b = stop - start
                 two[:b] += plan.n1
-                values = _raw_statistics(kinds, gather(one[:b], one[:b]), gather(two[:b], two[:b]),
-                                         gather(one[:b], two[:b]))
+                values = _raw_statistics(kinds, gather(one[:b], one[:b], blocks_x),
+                                         gather(two[:b], two[:b], blocks_y),
+                                         gather(one[:b], two[:b], blocks_xy))
                 for kind in kinds:
                     raw[kind][start:stop] = values[kind]
         except BaseException:
@@ -575,6 +604,12 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     The kinds share the Gram blocks, the subsample index sets and gathers,
     and the normals of the (seed, 1) stream, so each report is exactly the
     one a run for its kind alone gives.
+
+    Memory: the Gram blocks are built and reduced one at a time, and the
+    spectra's sources are scaled in place, so with m <= n a test holds at
+    most three n x n float64 arrays at once (about 24 n^2 bytes: 96 MB at
+    n = 2000, 2.4 GB at n = 10000), counting the copy eigvalsh makes.  The
+    chi-square draws reuse one block of at most 2^22 normals (32 MB).
     """
     kinds = _check_kinds(kinds)
     if isinstance(tau, Mapping):
@@ -592,16 +627,32 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
         plan = SubsamplingPlan.for_sample(n, seed=seed)
     plan.validate(n)
 
+    # Each raw block is reduced to its statistic terms in place (as
+    # _raw_statistics would) and dropped before the next one is built.
+    k_xy = gram(x, y, spec)
+    shift = _shift(k_xy)
+    t_xy = _block_terms(kinds, k_xy, shift)
+    del k_xy
     k_x = gram(x, x, spec)
     kc_x = center_gram(k_x)  # feeds both spectra, bit for bit as GramSet.kc_x would
     v_subs = _subsample_variance(k_x, kinds, plan, m)
-    # The statistics consume the raw blocks (mvd centers them in place).
-    raws = _raw_statistics(kinds, k_x, gram(y, y, spec), gram(x, y, spec))
+    t_x = _block_terms(kinds, k_x, shift)
     del k_x
+    raws = _combine_terms(kinds, t_x, _block_terms(kinds, gram(y, y, spec), shift), t_xy, n, m)
+    # H is built from kc_x before kc_x is scaled in place for the mmd spectrum
+    # and dropped, so at most H, kc_x and eigvalsh's copy coexist.
+    weights = {}
+    h = _h_matrix(kc_x) if "mvd" in kinds else None
+    if "mmd" in kinds:
+        weights["mmd"] = _spectral_weights(kc_x, n)
+    del kc_x
+    if h is not None:
+        weights["mvd"] = _spectral_weights(h, n)
+    del h
     rho = n / (n + m)
     fits = []
     for kind, v_sub in zip(kinds, v_subs):
-        w = _spectral_weights(_h_matrix(kc_x) if kind == "mvd" else kc_x, n)
+        w = weights[kind]
         kind_tau = tau.get(kind) if isinstance(tau, Mapping) else tau
         if kind_tau is None:
             kind_tau = default_tau(kind, plan.k / n)

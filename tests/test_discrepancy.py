@@ -220,6 +220,16 @@ class TestHMatrix:
         hi = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5, log_scale=0.4)))
         np.testing.assert_allclose(hi, math.exp(0.8) * lo, rtol=1e-12, atol=1e-16)
 
+    def test_leaves_the_gram_set_unchanged(self):
+        # H's square is centered in place; the GramSet's blocks must not be.
+        rng = np.random.default_rng(46)
+        g = build_gram_set(rng.normal(size=(8, 2)), rng.normal(size=(6, 2)), KernelSpec(sigma=0.5))
+        blocks = (g.k_x, g.k_y, g.k_xy, g.kc_x, g.kc_y, g.kc_xy)
+        before = [b.tobytes() for b in blocks]
+        h = h_matrix(g)
+        assert [b.tobytes() for b in blocks] == before
+        assert not any(np.shares_memory(h, b) for b in blocks)
+
 
 class TestCoreMatchesGramSetPath:
     """Every caller of the statistic core agrees with the former GramSet formulas."""

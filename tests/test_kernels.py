@@ -181,6 +181,13 @@ class TestCenterGram:
         once = center_gram(k)
         np.testing.assert_allclose(center_gram(once), once, atol=1e-14)
 
+    def test_leaves_its_argument_unchanged(self):
+        k = np.random.default_rng(306).uniform(size=(7, 5))
+        before = k.tobytes()
+        c = center_gram(k)
+        assert k.tobytes() == before
+        assert not np.shares_memory(c, k)
+
 
 class TestGramSet:
     def test_shapes_and_sizes(self):

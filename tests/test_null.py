@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -197,6 +198,28 @@ class TestSpectralWeights:
         a[0, 1] = bad
         with pytest.raises(ValueError, match="overflowed.*log_scale"):
             spectral_weights(a, 3)
+
+    def test_leaves_its_argument_unchanged(self):
+        x = np.random.default_rng(55).normal(size=(12, 2))
+        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)))
+        before = h.tobytes()
+        w = spectral_weights(h, 12)
+        assert h.tobytes() == before
+        assert w.lambdas.shape == (11,)
+
+    def test_banded_symmetry_check_matches_allclose(self, monkeypatch):
+        # Bands of 3 rows, the last one short, against allclose's verdict on
+        # asymmetries just inside, at and just outside the tolerance.
+        n, atol = 11, 1e-8
+        monkeypatch.setattr(mvdtest.null, "_CHUNK_SCALARS", 3 * n)
+        b = np.random.default_rng(56).normal(size=(n, n))
+        sym = (b + b.T) / 2
+        for i, j in [(0, 1), (4, 2), (10, 9), (9, 10), (5, 5)]:
+            for gap in (0.5 * atol, atol, 1.5 * atol, 1.0):
+                a = sym.copy()
+                a[i, j] += gap
+                want = np.allclose(a, a.T, rtol=0.0, atol=atol)
+                assert mvdtest.null._is_symmetric(a, atol) == want, (i, j, gap)
 
 
 class TestSampleWeightedChisq:
@@ -650,20 +673,33 @@ class TestRunTest:
         np.testing.assert_allclose(rep.critical_value_uncorrected, np.sort(s)[
             math.ceil(2000 * 0.95) - 1], rtol=1e-15)
 
-    @pytest.mark.parametrize("kind", ["mvd", "mmd"])
-    def test_lower_level_pieces_reproduce_the_report(self, kind):
+    @pytest.mark.parametrize("sigma,log_scale", [(0.5, 0.0), (1e-3, 0.0), (1e-3, 0.7), (20.0, 0.0),
+                                                 (20.0, 0.7)])
+    def test_lower_level_pieces_reproduce_the_report(self, sigma, log_scale):
+        # run_tests streams the Gram blocks and scales the spectra's sources
+        # in place; the public pieces, composed, must give the same bits.
         # The test draws its null law from the stream (seed, 1), not from seed.
         x, y = self._samples()
-        spec = KernelSpec(sigma=0.5)
-        rep = run_test(x, y, spec, kind=kind, draws=2000, seed=21)
+        spec = KernelSpec(sigma=sigma, log_scale=log_scale)
+        reports = run_tests(x, y, spec, kinds=("mvd", "mmd"), draws=2000, seed=21)
         g = build_gram_set(x, y, spec)
-        w = spectral_weights(h_matrix(g) if kind == "mvd" else g.kc_x, g.n)
         plan = SubsamplingPlan.for_sample(g.n, divisor=8, seed=21)
-        v = subsample_variance(x, spec, kind, plan, g.m)
-        law = fit_wprime(w, g.n / (g.n + g.m), v, tau=default_tau(kind, plan.k / g.n), draws_j=2000)
-        assert (g.n + g.m) * statistic(g, kind) == rep.statistic
-        assert critical_value(law, 0.05, seed=[21, 1]) == rep.critical_value
-        assert critical_value(law, 0.05, seed=21) != rep.critical_value
+        rho = g.n / (g.n + g.m)
+        for rep in reports:
+            kind = rep.kind
+            w = spectral_weights(h_matrix(g) if kind == "mvd" else g.kc_x, g.n)
+            v = subsample_variance(x, spec, kind, plan, g.m)
+            law = fit_wprime(w, rho, v, tau=default_tau(kind, plan.k / g.n), draws_j=2000)
+            stat = (g.n + g.m) * statistic(g, kind)
+            s = sample_weighted_chisq(w, rho, 2000, seed=[21, 1])
+            assert stat == rep.statistic
+            assert critical_value(law, 0.05, seed=[21, 1]) == rep.critical_value
+            assert critical_value(dataclasses.replace(law, xi=1.0, c=0.0), 0.05,
+                                  seed=[21, 1]) == rep.critical_value_uncorrected
+            assert float(np.mean(law.xi * s + law.c >= stat)) == rep.p_value
+            assert (w.trace, w.clipped_count, w.clipped_mass) == (
+                rep.weights_trace, rep.clipped_count, rep.clipped_mass)
+            assert critical_value(law, 0.05, seed=21) != rep.critical_value
 
     def test_uncorrected_critical_value_is_xi_free(self):
         x, y = self._samples()
@@ -776,6 +812,34 @@ class TestRunTests:
         x, y = self._samples()
         with pytest.raises(ValueError, match=match):
             run_tests(x, y, self.SPEC, kinds=kinds, draws=200)
+
+    def test_holds_at_most_three_square_arrays(self, monkeypatch):
+        # n^2 dominates: a short plan and few draws.  tracemalloc sees numpy's
+        # arrays but not the copy LAPACK makes inside eigvalsh, so one n x n
+        # array is added to the memory traced at each eigvalsh call.
+        n = 1000
+        unit = 8 * n * n
+        rng = np.random.default_rng(98)
+        x, y = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+        plan = SubsamplingPlan.for_sample(n, iterations=20)
+        readings = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            readings.append(tracemalloc.get_traced_memory()[0] - start + unit)
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_tests(x, y, self.SPEC, plan=plan, draws=100)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(readings) == 2
+        assert peak <= 3.25 * unit
+        assert max(readings) <= 3.25 * unit
 
     def test_rejects_unknown_kind_in_tau_mapping(self):
         # A misspelt key would otherwise leave that kind on its default tau.
