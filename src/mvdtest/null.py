@@ -21,7 +21,7 @@ import numpy as np
 
 from .discrepancy import (KINDS, _block_terms, _check_kind, _check_kinds, _combine_terms, _h_matrix,
                           _raw_statistics, _shift)
-from .kernels import as_sample, center_gram, gram
+from .kernels import _center, as_sample, center_gram, gram
 
 # Variance-inflation defaults keyed by the subsample fraction k/n.  These are
 # through-origin regression slopes of exact against subsampled variances,
@@ -32,8 +32,10 @@ TAU_TABLE = {
 }
 
 # Cap on scalars drawn per block when sampling the null law, so large draw
-# counts stay in bounded memory.  Blocking does not change the values: the
-# underlying normal stream is consumed in the same order either way.
+# counts stay in bounded memory.  The normal stream is consumed in the same
+# order whatever the block size, but BLAS may sum zz @ lam in another order
+# for another block shape, so a different cap can move draws by round-off
+# (up to a few 1e-15 relative at 2000 weights).
 _BLOCK_SCALARS = 1 << 22
 
 # Cap on Gram entries gathered per chunk of subsampling iterations.  It is
@@ -287,8 +289,9 @@ def _spectral_weights(a, n):
 def sample_weighted_chisq(w, rho, j, seed=0):
     """Draw j variates of S = (1/(rho(1-rho))) * sum_l lambda_l Z_l^2.
 
-    Z are i.i.d. standard normal; draws are deterministic given the seed and
-    independent of the internal block size.
+    Z are i.i.d. standard normal; draws are deterministic given the seed.  The
+    internal block size fixes which normals each draw uses, but not the order
+    in which BLAS sums its products, so it can move draws by round-off.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho!r}")
@@ -605,11 +608,15 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     and the normals of the (seed, 1) stream, so each report is exactly the
     one a run for its kind alone gives.
 
-    Memory: the Gram blocks are built and reduced one at a time, and the
-    spectra's sources are scaled in place, so with m <= n a test holds at
-    most three n x n float64 arrays at once (about 24 n^2 bytes: 96 MB at
-    n = 2000, 2.4 GB at n = 10000), counting the copy eigvalsh makes.  The
-    chi-square draws reuse one block of at most 2^22 normals (32 MB).
+    Memory: the Gram blocks are built and reduced one at a time, the
+    subsampling runs before K_X is centered, and the centered K~_X is dropped
+    once H is built, so with m <= n a test holds at most two n x n float64
+    arrays at once (about 16 n^2 bytes: 64 MB at n = 2000, 1.6 GB at
+    n = 10000), counting the copy eigvalsh makes.  For that, a run of both
+    kinds builds K_X a second time, into H's buffer, for the mmd spectrum.
+    The chi-square draws run after those arrays are freed and reuse one block
+    of at most 2^22 normals (32 MB); with the default 10000 draws that block
+    outweighs the two n x n arrays below n ~ 1450.
     """
     kinds = _check_kinds(kinds)
     if isinstance(tau, Mapping):
@@ -634,21 +641,25 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     t_xy = _block_terms(kinds, k_xy, shift)
     del k_xy
     k_x = gram(x, x, spec)
-    kc_x = center_gram(k_x)  # feeds both spectra, bit for bit as GramSet.kc_x would
     v_subs = _subsample_variance(k_x, kinds, plan, m)
+    kc_x = center_gram(k_x)  # feeds both spectra, bit for bit as GramSet.kc_x would
     t_x = _block_terms(kinds, k_x, shift)
     del k_x
     raws = _combine_terms(kinds, t_x, _block_terms(kinds, gram(y, y, spec), shift), t_xy, n, m)
-    # H is built from kc_x before kc_x is scaled in place for the mmd spectrum
-    # and dropped, so at most H, kc_x and eigvalsh's copy coexist.
+    # kc_x is dropped once H is built, so H's spectrum needs only H and
+    # eigvalsh's copy.  The mmd spectrum then rebuilds kc_x in H's buffer:
+    # _center takes its means before it writes, so the bits are center_gram's.
     weights = {}
-    h = _h_matrix(kc_x) if "mvd" in kinds else None
+    if "mvd" in kinds:
+        h = _h_matrix(kc_x)
+        del kc_x
+        weights["mvd"] = _spectral_weights(h, n)
+        if "mmd" in kinds:
+            kc_x = _center(gram(x, x, spec, out=h), out=h)
+        del h
     if "mmd" in kinds:
         weights["mmd"] = _spectral_weights(kc_x, n)
-    del kc_x
-    if h is not None:
-        weights["mvd"] = _spectral_weights(h, n)
-    del h
+        del kc_x
     rho = n / (n + m)
     fits = []
     for kind, v_sub in zip(kinds, v_subs):

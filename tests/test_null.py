@@ -236,6 +236,31 @@ class TestSampleWeightedChisq:
         blocked = sample_weighted_chisq(w, 0.3, 997, seed=9)
         np.testing.assert_array_equal(full, blocked)
 
+    @pytest.mark.parametrize("size", [199, 1999])
+    def test_block_size_moves_draws_only_by_round_off(self, size, monkeypatch):
+        # Every block size consumes the same normals in the same order, but
+        # BLAS may sum zz @ lam in another order for another block shape, so
+        # the draws agree to round-off, not bit for bit.
+        w = _unit_weights(np.random.default_rng(size).uniform(size=size))
+        generators = []
+        real_default_rng = np.random.default_rng
+
+        def recording_default_rng(seed):
+            generators.append(real_default_rng(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+        full = sample_weighted_chisq(w, 0.3, 997, seed=9)
+        stream = real_default_rng(9)
+        stream.standard_normal(997 * size)
+        for block in (64, 7 * size, 1 << 16):
+            monkeypatch.setattr(mvdtest.null, "_BLOCK_SCALARS", block)
+            blocked = sample_weighted_chisq(w, 0.3, 997, seed=9)
+            np.testing.assert_allclose(blocked, full, rtol=1e-14, atol=0)
+        assert len(generators) == 4
+        for rng in generators:
+            assert rng.bit_generator.state == stream.bit_generator.state
+
     def test_moments(self):
         w = _unit_weights([2.0, 1.0])
         draws = sample_weighted_chisq(w, 0.5, 200000, seed=31)
@@ -813,7 +838,8 @@ class TestRunTests:
         with pytest.raises(ValueError, match=match):
             run_tests(x, y, self.SPEC, kinds=kinds, draws=200)
 
-    def test_holds_at_most_three_square_arrays(self, monkeypatch):
+    @pytest.mark.parametrize("kinds", [("mvd", "mmd"), ("mmd",), ("mvd",)])
+    def test_holds_at_most_two_square_arrays(self, kinds, monkeypatch):
         # n^2 dominates: a short plan and few draws.  tracemalloc sees numpy's
         # arrays but not the copy LAPACK makes inside eigvalsh, so one n x n
         # array is added to the memory traced at each eigvalsh call.
@@ -833,13 +859,30 @@ class TestRunTests:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run_tests(x, y, self.SPEC, plan=plan, draws=100)
+            run_tests(x, y, self.SPEC, kinds=kinds, plan=plan, draws=100)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert len(readings) == 2
-        assert peak <= 3.25 * unit
-        assert max(readings) <= 3.25 * unit
+        assert len(readings) == len(kinds)
+        assert peak <= 2.25 * unit
+        assert max(readings) <= 2.25 * unit
+
+    @pytest.mark.parametrize("kinds,calls", [(("mvd", "mmd"), 4), (("mmd", "mvd"), 4), (("mvd",), 3),
+                                             (("mmd",), 3)])
+    def test_both_kinds_rebuild_the_first_gram_block_once(self, kinds, calls, monkeypatch):
+        # The price of holding two n x n arrays: K_XY, K_X and K_Y, then K_X
+        # again for the mmd spectrum once H's spectrum has freed its buffer.
+        shapes = []
+        real_gram = mvdtest.null.gram
+
+        def counting_gram(a, b, *args, **kwargs):
+            shapes.append((len(a), len(b)))
+            return real_gram(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(mvdtest.null, "gram", counting_gram)
+        x, y = self._samples()
+        run_tests(x, y, self.SPEC, kinds=kinds, plan=self.PLAN, draws=200)
+        assert shapes == [(44, 38), (44, 44), (38, 38), (44, 44)][:calls]
 
     def test_rejects_unknown_kind_in_tau_mapping(self):
         # A misspelt key would otherwise leave that kind on its default tau.
