@@ -23,7 +23,7 @@ from .closed_form import (
     mvd_sq_gaussian,
     mvd_sq_isotropic,
 )
-from .discrepancy import KINDS, h_matrix, mmd_statistic, mvd_statistic, statistic
+from .discrepancy import KINDS, h_matrix, statistic
 from .kernels import (
     GramSet,
     KernelSpec,
@@ -32,7 +32,6 @@ from .kernels import (
     center_gram,
     gram,
     gram_set_from_blocks,
-    kernel_eval,
 )
 from .null import (
     TAU_TABLE,
@@ -85,16 +84,13 @@ __all__ = [
     "gram",
     "gram_set_from_blocks",
     "h_matrix",
-    "kernel_eval",
     "mean_embedding_inner",
     "mean_embedding_norm_sq",
     "mmd_sq_gaussian",
     "mmd_sq_isotropic",
-    "mmd_statistic",
     "mvd_mmd_curves",
     "mvd_sq_gaussian",
     "mvd_sq_isotropic",
-    "mvd_statistic",
     "run_test",
     "run_tests",
     "sample",

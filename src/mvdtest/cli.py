@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .closed_form import mmd_sq_isotropic, mvd_mmd_curves, mvd_sq_isotropic
-from .kernels import KERNEL_FAMILIES, KernelSpec, as_sample
+from .kernels import KernelSpec, as_sample
 from .null import SubsamplingPlan, run_tests
 from .simulate import sigma_from_rule, type1_power_table, variance_table
 
@@ -78,24 +78,17 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _float_list(text):
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
-    return values
-
-
-def _int_list(text):
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError(f"empty list: {text!r}")
-    return values
+def _list_of(convert, what):
+    """An argparse type: a non-empty comma-separated list of convert(part) values."""
+    def parse(text):
+        try:
+            values = [convert(part) for part in text.split(",") if part.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated list of {what}: {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"empty list: {text!r}")
+        return values
+    return parse
 
 
 def _csv_cell(value):
@@ -113,8 +106,6 @@ def _kinds(kind):
 
 
 def _add_kernel_args(parser, default_sigma="auto"):
-    parser.add_argument("--kernel", choices=KERNEL_FAMILIES, default="gaussian",
-                        help="kernel family (default: gaussian)")
     parser.add_argument("--sigma", default=default_sigma,
                         help="bandwidth: a number or a rule (auto, d^-3/4, d^-7/8, d^-1, d^-2); "
                              "auto means d^-3/4 (default: %(default)s)")
@@ -123,8 +114,17 @@ def _add_kernel_args(parser, default_sigma="auto"):
 
 
 def _add_seed_arg(parser):
-    parser.add_argument("--seed", type=int, default=int(os.environ.get(SEED_ENV_VAR, "0")),
+    parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+
+
+def _seed(args):
+    """--seed if given, else $MVDTEST_SEED, else 0."""
+    text = os.environ.get(SEED_ENV_VAR, "0") if args.seed is None else args.seed
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
 
 
 def build_parser():
@@ -159,9 +159,9 @@ def build_parser():
     p_test.set_defaults(func=cmd_test)
 
     p_curves = sub.add_parser("curves", help="tabulate closed-form discrepancies over a (t, s) grid")
-    p_curves.add_argument("--t", type=_float_list, default=[0.0, 0.5, 1.0, 1.5, 2.0],
+    p_curves.add_argument("--t", type=_list_of(float, "numbers"), default=[0.0, 0.5, 1.0, 1.5, 2.0],
                           metavar="T1,T2,...", help="mean-shift grid (default: 0,0.5,1,1.5,2)")
-    p_curves.add_argument("--s", type=_float_list, default=[1.0], metavar="S1,S2,...",
+    p_curves.add_argument("--s", type=_list_of(float, "numbers"), default=[1.0], metavar="S1,S2,...",
                           help="variance-scale grid (default: 1)")
     p_curves.add_argument("--d", type=int, default=10, help="dimension (default: 10)")
     _add_kernel_args(p_curves)
@@ -177,7 +177,7 @@ def build_parser():
     p_sim.add_argument("--kind", choices=("mvd", "mmd", "both"), default="both")
     p_sim.add_argument("--reps", type=int, default=None,
                        help="replications (default: 2000 for variance, 500 for power)")
-    p_sim.add_argument("--divisors", type=_int_list, default=[4, 6, 8], metavar="D1,D2,...",
+    p_sim.add_argument("--divisors", type=_list_of(int, "integers"), default=[4, 6, 8], metavar="D1,D2,...",
                        help="variance table: subsample divisors, k = l = n//D (default: 4,6,8)")
     p_sim.add_argument("--divisor", type=int, default=8,
                        help="power table: subsample divisor (default: 8)")
@@ -223,7 +223,7 @@ def _report_payload(report, args, sigma, d):
         "c": report.c,
         "seed": report.seed,
         "version": __version__,
-        "kernel": args.kernel,
+        "kernel": "gaussian",
         "alpha": report.alpha,
         "draws": report.draws,
         "n1": report.plan.n1,
@@ -241,16 +241,17 @@ def _report_payload(report, args, sigma, d):
 
 
 def cmd_test(args):
+    seed = _seed(args)
     x = load_csv(args.x, has_header=args.header)
     y = load_csv(args.y, has_header=args.header)
     d = x.shape[1]
     sigma = sigma_from_rule(args.sigma, d)
-    spec = KernelSpec(sigma=sigma, log_scale=args.log_scale, family=args.kernel)
-    plan = SubsamplingPlan.for_sample(x.shape[0], iterations=args.subsample_iters, seed=args.seed)
+    spec = KernelSpec(sigma=sigma, log_scale=args.log_scale)
+    plan = SubsamplingPlan.for_sample(x.shape[0], iterations=args.subsample_iters, seed=seed)
     overrides = {name: getattr(args, name) for name in ("n1", "k", "l") if getattr(args, name) is not None}
     plan = dataclasses.replace(plan, **overrides)
     reports = run_tests(x, y, spec, kinds=_kinds(args.kind), plan=plan, tau=args.tau,
-                        alpha=args.alpha, draws=args.draws, seed=args.seed)
+                        alpha=args.alpha, draws=args.draws, seed=seed)
     payloads = [_report_payload(report, args, sigma, d) for report in reports]
     body = payloads[0] if len(payloads) == 1 else payloads
     _emit(json.dumps(body, indent=2) + "\n", args.out)
@@ -279,13 +280,14 @@ def _result_csv(result):
 
 
 def cmd_simulate(args):
+    seed = _seed(args)
     cell = (args.sigma, args.d, args.n, args.m)
     kinds = _kinds(args.kind)
     if args.table == "variance":
         result = variance_table(
             [cell], kinds=kinds,
             reps=args.reps if args.reps is not None else 2000,
-            divisors=args.divisors, iterations=args.subsample_iters, seed=args.seed,
+            divisors=args.divisors, iterations=args.subsample_iters, seed=seed,
         )
     else:
         alternatives = tuple(a.strip() for a in args.alternatives.split(",") if a.strip())
@@ -293,7 +295,7 @@ def cmd_simulate(args):
             [cell], alternatives=alternatives, kinds=kinds, alpha=args.alpha,
             reps=args.reps if args.reps is not None else 500,
             divisor=args.divisor, iterations=args.subsample_iters,
-            draws=args.draws, tau=args.tau, seed=args.seed,
+            draws=args.draws, tau=args.tau, seed=seed,
         )
     if args.format == "json":
         text = json.dumps({"version": __version__, "config": result.config, "rows": list(result.rows)}, indent=2) + "\n"

@@ -4,11 +4,9 @@ These are the exact values the Gram-matrix estimators converge to, used as
 independent oracles in tests and for power analysis.  The public closed forms
 fix the reference distribution P = N(0, I_d) and take Q = N(mean, cov); fully
 general pairs of Gaussians are reachable through the inner-product helpers at
-the bottom of the module.
-
-All determinants of the form |I + a*Sigma| and |I + a*Sigma + b*Sigma^2| are
-evaluated as products over the eigenvalues of Sigma, so each closed form costs
-one symmetric eigendecomposition.
+the bottom of the module.  Each discrepancy is the squared distance between
+two operators, ||P||^2 + ||Q||^2 - 2<P, Q>, and the general closed forms are
+assembled from exactly those helpers.
 """
 
 import math
@@ -20,6 +18,12 @@ import numpy as np
 def _check_sigma(sigma):
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+
+
+def _check_dim(d):
+    """Refuse a dimension d that is not an integer >= 1."""
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"d must be an integer >= 1, got {d!r}")
 
 
 def _scaled(value, c, power):
@@ -48,6 +52,7 @@ class GaussianSpec:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got ndim={mean.ndim}")
+        _check_dim(mean.size)
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
@@ -65,89 +70,34 @@ class GaussianSpec:
     @classmethod
     def standard(cls, d):
         """N(0, I_d)."""
+        _check_dim(d)
         return cls(np.zeros(d), np.eye(d))
 
     @classmethod
     def isotropic(cls, t, s, d):
         """N(t * ones, s * I_d)."""
+        _check_dim(d)
         return cls(np.full(d, float(t)), float(s) * np.eye(d))
 
 
-def _spectrum(q):
-    """Eigenvalues e of cov and the mean rotated into the eigenbasis."""
-    e, u = np.linalg.eigh(q.cov)
-    return e, u.T @ q.mean
-
-
 def mmd_sq_gaussian(q, sigma, c=0.0):
-    """Squared mean-embedding distance between N(0, I_d) and q.
-
-    Equals e^c * [ (1+4s)^{-d/2} + |I+4sS|^{-1/2}
-                   - 2 |(1+2s)I + 2sS|^{-1/2} e^{-s m' ((1+2s)I+2sS)^{-1} m} ]
-    with s = sigma, S = q.cov, m = q.mean.  Clamped to 0 against round-off.
-    """
-    _check_sigma(sigma)
-    d = q.dim
-    e, w = _spectrum(q)
-    term_p = (1.0 + 4.0 * sigma) ** (-d / 2.0)
-    term_q = float(np.prod(1.0 + 4.0 * sigma * e) ** -0.5)
-    cross_den = 1.0 + 2.0 * sigma + 2.0 * sigma * e
-    cross = float(np.prod(cross_den) ** -0.5) * math.exp(-sigma * float(np.sum(w**2 / cross_den)))
-    return _scaled(term_p + term_q - 2.0 * cross, c, 1.0)
+    """Squared mean-embedding distance |P|^2 + |q|^2 - 2<P, q> between P = N(0, I_d) and q, times e^c."""
+    p = GaussianSpec.standard(q.dim)
+    return _scaled(mean_embedding_norm_sq(p, sigma) + mean_embedding_norm_sq(q, sigma)
+                   - 2.0 * mean_embedding_inner(p, q, sigma), c, 1.0)
 
 
 def mvd_sq_gaussian(q, sigma, c=0.0):
-    """Squared covariance-operator distance between N(0, I_d) and q.
-
-    Assembled as  A + B - 2 (I1 - I2 - I3 + I4)  where A and B are the
-    squared norms of the two covariance operators and the I-terms expand
-    their inner product; every piece is a product over the eigenvalues e of
-    q.cov with the mean rotated into the eigenbasis.  Scales as e^{2c}.
-    """
-    _check_sigma(sigma)
-    d = q.dim
-    e, w = _spectrum(q)
-    s = sigma
-    w2 = w**2
-
-    a_term = (
-        (1.0 + 8.0 * s) ** (-d / 2.0)
-        - 2.0 * (1.0 + 8.0 * s + 12.0 * s**2) ** (-d / 2.0)
-        + (1.0 + 4.0 * s) ** (-d)
-    )
-    b_term = float(
-        np.prod(1.0 + 8.0 * s * e) ** -0.5
-        - 2.0 * np.prod(1.0 + 8.0 * s * e + 12.0 * s**2 * e**2) ** -0.5
-        + np.prod(1.0 + 4.0 * s * e) ** -1.0
-    )
-
-    den1 = 1.0 + 4.0 * s + 4.0 * s * e
-    i1 = float(np.prod(den1) ** -0.5) * math.exp(-2.0 * s * float(np.sum(w2 / den1)))
-
-    den2 = 1.0 + 2.0 * s + 4.0 * s * e
-    i2 = (
-        (1.0 + 2.0 * s) ** (-d / 2.0)
-        * float(np.prod(den2) ** -0.5)
-        * math.exp(-2.0 * s * float(np.sum(w2 / den2)))
-    )
-
-    den3 = 1.0 + 4.0 * s + 2.0 * s * e
-    i3 = (
-        float(np.prod(1.0 + 2.0 * s * e) ** -0.5)
-        * float(np.prod(den3) ** -0.5)
-        * math.exp(-2.0 * s * float(np.sum(w2 / den3)))
-    )
-
-    den4 = 1.0 + 2.0 * s + 2.0 * s * e
-    i4 = float(np.prod(den4) ** -1.0) * math.exp(-2.0 * s * float(np.sum(w2 / den4)))
-
-    value = a_term + b_term - 2.0 * (i1 - i2 - i3 + i4)
-    return _scaled(value, c, 2.0)
+    """Squared covariance-operator distance |P|^2 + |q|^2 - 2<P, q> between P = N(0, I_d) and q, times e^{2c}."""
+    p = GaussianSpec.standard(q.dim)
+    return _scaled(cov_operator_norm_sq(p, sigma) + cov_operator_norm_sq(q, sigma)
+                   - 2.0 * cov_operator_inner(p, q, sigma), c, 2.0)
 
 
 def mmd_sq_isotropic(t, s, d, sigma, c=0.0):
     """mmd_sq_gaussian specialized to q = N(t * ones, s * I_d), in closed form."""
     _check_sigma(sigma)
+    _check_dim(d)
     if s <= 0:
         raise ValueError(f"variance scale s must be > 0, got {s!r}")
     g = sigma
@@ -163,6 +113,7 @@ def mmd_sq_isotropic(t, s, d, sigma, c=0.0):
 def mvd_sq_isotropic(t, s, d, sigma, c=0.0):
     """mvd_sq_gaussian specialized to q = N(t * ones, s * I_d), in closed form."""
     _check_sigma(sigma)
+    _check_dim(d)
     if s <= 0:
         raise ValueError(f"variance scale s must be > 0, got {s!r}")
     g = sigma
@@ -192,6 +143,7 @@ def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):
     mvd_sq), t varying slowest.  Useful for plotting how the two
     discrepancies order as the kernel scale c changes.
     """
+    _check_dim(d)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     if not (np.isfinite(t_grid).all() and np.isfinite(s_grid).all()):

@@ -90,24 +90,6 @@ def statistic(g, kind):
     return max(float(raw), 0.0)
 
 
-def mvd_statistic(g):
-    """Squared distance between the empirical covariance operators.
-
-    Computed as (1/n^2)||K~_X||_F^2 - (2/nm)||K~_XY||_F^2 + (1/m^2)||K~_Y||_F^2
-    from the centered Gram blocks of g; clamped to be >= 0.
-    """
-    return statistic(g, "mvd")
-
-
-def mmd_statistic(g):
-    """Squared distance between the empirical mean embeddings.
-
-    The biased V-statistic form: (1/n^2) sum K_X + (1/m^2) sum K_Y
-    - (2/nm) sum K_XY over the raw (uncentered) Gram blocks; clamped >= 0.
-    """
-    return statistic(g, "mmd")
-
-
 def h_matrix(g):
     """Doubly-centered Hadamard square of the centered first-sample Gram block.
 

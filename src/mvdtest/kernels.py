@@ -1,11 +1,9 @@
-"""Kernel evaluation, Gram-matrix construction, and double-centering."""
+"""Gram-matrix construction and double-centering."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
-
-KERNEL_FAMILIES = ("gaussian",)
 
 
 def as_sample(values, name="sample"):
@@ -38,33 +36,16 @@ class KernelSpec:
         Bandwidth, > 0.
     log_scale : float, optional
         C in k' = e^C * k; defaults to 0 (the unscaled kernel).
-    family : str, optional
-        Only "gaussian" is built in.
     """
 
     sigma: float
     log_scale: float = 0.0
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family not in KERNEL_FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}; choose from {KERNEL_FAMILIES}")
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be a positive finite real, got {self.sigma!r}")
         if not np.isfinite(self.log_scale):
             raise ValueError(f"log_scale must be finite, got {self.log_scale!r}")
-
-
-def kernel_eval(x, y, spec):
-    """Evaluate the kernel on a single pair of d-vectors."""
-    xv = np.asarray(x, dtype=float).reshape(-1)
-    yv = np.asarray(y, dtype=float).reshape(-1)
-    if xv.shape != yv.shape:
-        raise ValueError(f"point dimensions differ: {xv.shape[0]} vs {yv.shape[0]}")
-    if not (np.isfinite(xv).all() and np.isfinite(yv).all()):
-        raise ValueError("kernel_eval: non-finite input")
-    d2 = float(np.sum((xv - yv) ** 2))
-    return float(np.exp(spec.log_scale - spec.sigma * d2))
 
 
 def gram(x, y, spec, *, out=None):
@@ -108,18 +89,16 @@ def _center(k, out=None):
 
 @dataclass(frozen=True)
 class GramSet:
-    """Within- and cross-sample Gram matrices plus their centered versions.
+    """Within- and cross-sample Gram matrices plus the centered first-sample block.
 
-    k_x is n x n, k_y is m x m, k_xy is n x m; kc_* are the double-centered
-    counterparts (row and column sums ~ 0).
+    k_x is n x n, k_y is m x m, k_xy is n x m; kc_x is k_x double-centered
+    (row and column sums ~ 0), the block h_matrix reads.
     """
 
     k_x: np.ndarray = field(repr=False)
     k_y: np.ndarray = field(repr=False)
     k_xy: np.ndarray = field(repr=False)
     kc_x: np.ndarray = field(repr=False)
-    kc_y: np.ndarray = field(repr=False)
-    kc_xy: np.ndarray = field(repr=False)
 
     @property
     def n(self):
@@ -143,13 +122,11 @@ def gram_set_from_blocks(k_x, k_y, k_xy):
         k_y=k_y,
         k_xy=k_xy,
         kc_x=center_gram(k_x),
-        kc_y=center_gram(k_y),
-        kc_xy=center_gram(k_xy),
     )
 
 
 def build_gram_set(x, y, spec):
-    """Compute all six Gram matrices for two samples under one kernel."""
+    """Compute the three Gram blocks of two samples under one kernel, and center K_X."""
     x = as_sample(x, "x")
     y = as_sample(y, "y")
     if x.shape[1] != y.shape[1]:

@@ -500,8 +500,7 @@ def fit_wprime(w, rho, v_sub, tau, draws_j=10000):
         raise ValueError(f"rho must be in (0, 1), got {rho!r}")
     if v_sub < 0.0:
         raise ValueError(f"v_sub must be >= 0, got {v_sub!r}")
-    if tau < 0.0:
-        raise ValueError(f"tau must be >= 0, got {tau!r}")
+    _check_tau(tau)
     lam = w.lambdas
     denom = rho * (1.0 - rho)
     mu_s = w.trace / denom
@@ -514,6 +513,12 @@ def fit_wprime(w, rho, v_sub, tau, draws_j=10000):
         xi = math.sqrt((1.0 + tau) * v_sub / v_s)
         c = (1.0 - xi) * mu_s
     return NullApprox(weights=w, rho=rho, tau=float(tau), v_sub=float(v_sub), xi=xi, c=c, draws_j=int(draws_j))
+
+
+def _check_tau(tau):
+    """Refuse a tau that is negative, nan or infinite."""
+    if not (math.isfinite(tau) and tau >= 0.0):
+        raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
 
 
 def _quantile_rank(j, alpha):
@@ -619,9 +624,11 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     outweighs the two n x n arrays below n ~ 1450.
     """
     kinds = _check_kinds(kinds)
-    if isinstance(tau, Mapping):
-        for key in tau:
-            _check_kind(key)
+    taus = dict(tau) if isinstance(tau, Mapping) else dict.fromkeys(kinds, tau)
+    for key, value in taus.items():
+        _check_kind(key)
+        if value is not None:
+            _check_tau(float(value))
     draws = int(draws)
     _check_level(alpha, draws, "draws")
     seed = _check_seed(seed)
@@ -664,7 +671,7 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     fits = []
     for kind, v_sub in zip(kinds, v_subs):
         w = weights[kind]
-        kind_tau = tau.get(kind) if isinstance(tau, Mapping) else tau
+        kind_tau = taus.get(kind)
         if kind_tau is None:
             kind_tau = default_tau(kind, plan.k / n)
         fits.append((kind, raws[kind], fit_wprime(w, rho, v_sub, float(kind_tau), draws_j=draws)))

@@ -129,6 +129,35 @@ class TestTestCommand:
                              "p_value", "reject", "tau", "v_sub", "xi", "c",
                              "seed", "version"]
 
+    def test_all_fields_in_order(self, capsys, sample_files):
+        _, _, x_path, y_path = sample_files
+        code, out, _ = _run(capsys, ["test", "--x", x_path, "--y", y_path,
+                                     "--sigma", "0.5", "--draws", "500"])
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["kind", "n", "m", "d", "sigma", "C", "statistic",
+                                 "critical_value_wprime", "critical_value_uncorrected",
+                                 "p_value", "reject", "tau", "v_sub", "xi", "c",
+                                 "seed", "version", "kernel", "alpha", "draws", "n1", "k", "l",
+                                 "subsample_iters", "x", "y", "header", "weights_trace",
+                                 "clipped_count", "clipped_mass", "statistic_clamped"]
+        assert payload["kernel"] == "gaussian"
+
+    def test_kernel_option_is_gone(self, capsys, sample_files):
+        _, _, x_path, y_path = sample_files
+        with pytest.raises(SystemExit) as exc:
+            main(["test", "--x", x_path, "--y", y_path, "--kernel", "gaussian"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-0.5"])
+    def test_bad_tau_is_json_error(self, capsys, sample_files, tau):
+        _, _, x_path, y_path = sample_files
+        code, out, err = _run(capsys, ["test", "--x", x_path, "--y", y_path, "--kind", "both",
+                                       "--tau", tau])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == f"tau must be >= 0 and finite, got {float(tau)!r}"
+
     def test_kind_both_emits_two_reports(self, capsys, sample_files):
         _, _, x_path, y_path = sample_files
         code, out, _ = _run(capsys, ["test", "--x", x_path, "--y", y_path,
@@ -248,6 +277,28 @@ class TestTestCommand:
         assert json.loads(out_env) == json.loads(out_explicit)
         assert json.loads(out_env)["seed"] == 123
 
+    def test_non_integer_seed_env_var(self, capsys, sample_files, monkeypatch):
+        _, _, x_path, y_path = sample_files
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        for argv in (["test", "--x", x_path, "--y", y_path, "--draws", "500"],
+                     ["simulate", "--table", "variance", "--d", "2", "--n", "16", "--m", "16",
+                      "--reps", "20", "--divisors", "4", "--subsample-iters", "20"]):
+            code, out, err = _run(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert json.loads(err)["error"] == f"{SEED_ENV_VAR} must be an integer, got 'abc'"
+        code, out, err = _run(capsys, ["test", "--x", x_path, "--y", y_path, "--draws", "500",
+                                       "--seed", "4"])
+        assert code == 0 and err == ""
+        assert json.loads(out)["seed"] == 4
+        for argv in (["curves", "--d", "3"], ["closed-form"]):
+            code, out, err = _run(capsys, argv)
+            assert code == 0 and out and err == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("mvdtest ")
+
 
 class TestCurvesCommand:
     def test_matches_library_and_round_trips(self, capsys):
@@ -294,6 +345,17 @@ class TestClosedFormCommand:
         assert payload["mmd_sq"] == mmd_sq_isotropic(0.5, 1.5, 2, 0.25)
         assert payload["sigma"] == 0.25
         assert list(payload) == ["t", "s", "d", "sigma", "C", "mmd_sq", "mvd_sq", "version"]
+
+    @pytest.mark.parametrize("argv,error", [
+        (["closed-form", "--sigma", "0.5", "--d", "-3"], "d must be an integer >= 1, got -3"),
+        (["curves", "--sigma", "0.5", "--d", "0"], "d must be an integer >= 1, got 0"),
+        (["closed-form", "--d", "0"], "dimension must be >= 1 to apply rule 'auto'"),
+    ])
+    def test_bad_dimension_is_json_error(self, capsys, argv, error):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == error
 
     def test_invalid_scale_is_json_error(self, capsys):
         code, _, err = _run(capsys, ["closed-form", "--s", "-1.0"])

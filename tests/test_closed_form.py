@@ -69,6 +69,20 @@ class TestGaussianSpec:
         with pytest.raises(ValueError, match="mean must be a vector"):
             GaussianSpec(np.zeros((2, 2)), np.eye(2))
 
+    @pytest.mark.parametrize("d", [0, -3, 2.5, True])
+    def test_constructors_reject_a_bad_dimension(self, d):
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer >= 1, got {d!r}")):
+            GaussianSpec.standard(d)
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer >= 1, got {d!r}")):
+            GaussianSpec.isotropic(0.5, 2.0, d)
+
+    def test_rejects_an_empty_mean(self):
+        with pytest.raises(ValueError, match="d must be an integer >= 1, got 0"):
+            GaussianSpec([], np.zeros((0, 0)))
+
+    def test_accepts_numpy_integer_dimension(self):
+        assert GaussianSpec.standard(np.int64(3)).dim == 3
+
 
 class TestAgainstQuadrature:
     def test_mvd_centered(self):
@@ -188,6 +202,17 @@ class TestIsotropicSpecialization:
             mvd_sq_isotropic(0.5, 0.0, 3, 0.1)
         with pytest.raises(ValueError, match="variance scale"):
             mmd_sq_isotropic(0.5, -1.0, 3, 0.1)
+
+    @pytest.mark.parametrize("d", [0, -3, 2.5, 5.0, True, None])
+    def test_rejects_a_bad_dimension(self, d):
+        message = re.escape(f"d must be an integer >= 1, got {d!r}")
+        for func in (mvd_sq_isotropic, mmd_sq_isotropic):
+            with pytest.raises(ValueError, match=message):
+                func(1.0, 1.0, d, 0.5)
+        with pytest.raises(ValueError, match=message):
+            mvd_mmd_curves([0.0, 1.0], [1.0], d, 0.5)
+        with pytest.raises(ValueError, match=message):
+            mvd_mmd_curves([], [], d, 0.5)
 
 
 class TestLogScaleFactor:

@@ -585,6 +585,11 @@ class TestFitWprime:
         with pytest.raises(ValueError, match="tau must be >= 0"):
             fit_wprime(_unit_weights([1.0]), 0.5, 1.0, -0.1)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+            fit_wprime(_unit_weights([1.0]), 0.5, 1.0, tau)
+
 
 class TestCriticalValue:
     def test_single_weight_matches_chi_square_quantile(self):
@@ -889,3 +894,14 @@ class TestRunTests:
         x, y = self._samples()
         with pytest.raises(ValueError, match="unknown statistic kind 'mdv'"):
             run_tests(x, y, self.SPEC, tau={"mdv": 0.3}, draws=200)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -0.5, {"mvd": 0.2, "mmd": math.nan},
+                                     {"mmd": math.inf}, {"mvd": -1.0}])
+    def test_rejects_a_bad_tau_before_any_gram_block(self, tau, monkeypatch):
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a Gram block was built before tau was checked")
+
+        monkeypatch.setattr(mvdtest.null, "gram", no_gram)
+        x, y = self._samples()
+        with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
+            run_tests(x, y, self.SPEC, tau=tau, draws=200)
