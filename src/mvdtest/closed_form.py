@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .discrepancy import _POWER
+from .kernels import _rescale
+
 
 def _check_sigma(sigma):
     if not (np.isfinite(sigma) and sigma > 0):
@@ -24,21 +27,6 @@ def _check_dim(d):
     """Refuse a dimension d that is not an integer >= 1."""
     if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
-
-
-def _scaled(value, c, power):
-    """max(value, 0) * e^(power * c): a discrepancy at C = 0 moved to log_scale c.
-
-    Raises a ValueError that names log_scale where the factor or the product
-    overflows float64 (e^(2c) does from c of about 355 on).
-    """
-    try:
-        scaled = math.exp(power * c) * max(value, 0.0)
-    except OverflowError:
-        scaled = math.inf
-    if scaled == math.inf:
-        raise ValueError(f"log_scale={c!r} is too large: the scaled discrepancy overflows float64")
-    return scaled
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,15 +71,15 @@ class GaussianSpec:
 def mmd_sq_gaussian(q, sigma, c=0.0):
     """Squared mean-embedding distance |P|^2 + |q|^2 - 2<P, q> between P = N(0, I_d) and q, times e^c."""
     p = GaussianSpec.standard(q.dim)
-    return _scaled(mean_embedding_norm_sq(p, sigma) + mean_embedding_norm_sq(q, sigma)
-                   - 2.0 * mean_embedding_inner(p, q, sigma), c, 1.0)
+    return _rescale(max(mean_embedding_norm_sq(p, sigma) + mean_embedding_norm_sq(q, sigma)
+                        - 2.0 * mean_embedding_inner(p, q, sigma), 0.0), c, _POWER["mmd"])
 
 
 def mvd_sq_gaussian(q, sigma, c=0.0):
     """Squared covariance-operator distance |P|^2 + |q|^2 - 2<P, q> between P = N(0, I_d) and q, times e^{2c}."""
     p = GaussianSpec.standard(q.dim)
-    return _scaled(cov_operator_norm_sq(p, sigma) + cov_operator_norm_sq(q, sigma)
-                   - 2.0 * cov_operator_inner(p, q, sigma), c, 2.0)
+    return _rescale(max(cov_operator_norm_sq(p, sigma) + cov_operator_norm_sq(q, sigma)
+                        - 2.0 * cov_operator_inner(p, q, sigma), 0.0), c, _POWER["mvd"])
 
 
 def mmd_sq_isotropic(t, s, d, sigma, c=0.0):
@@ -107,7 +95,7 @@ def mmd_sq_isotropic(t, s, d, sigma, c=0.0):
         + (1.0 + 4.0 * g * s) ** (-d / 2.0)
         - 2.0 * cross_den ** (-d / 2.0) * math.exp(-g * t**2 * d / cross_den)
     )
-    return _scaled(value, c, 1.0)
+    return _rescale(max(value, 0.0), c, _POWER["mmd"])
 
 
 def mvd_sq_isotropic(t, s, d, sigma, c=0.0):
@@ -133,7 +121,7 @@ def mvd_sq_isotropic(t, s, d, sigma, c=0.0):
         + 2.0 * ((1.0 + 2.0 * g * s) * den3) ** (-d / 2.0) * math.exp(-2.0 * g * t**2 * d / den3)
         - 2.0 * den4 ** (-d) * math.exp(-2.0 * g * t**2 * d / den4)
     )
-    return _scaled(value, c, 2.0)
+    return _rescale(max(value, 0.0), c, _POWER["mvd"])
 
 
 def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):

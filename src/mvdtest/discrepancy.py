@@ -18,6 +18,10 @@ from .kernels import _center
 
 KINDS = ("mvd", "mmd")
 
+# p in the factor e^(pC) each statistic, and its population value, takes
+# under the kernel k' = e^C k.
+_POWER = {"mvd": 2.0, "mmd": 1.0}
+
 
 def _check_kind(kind):
     if kind not in KINDS:
@@ -44,7 +48,7 @@ def _raw_statistics(kinds, k_x, k_y, k_xy):
     first shifted in place by _shift(k_xy) (of the first problem in a batch;
     callers batch only subsamples of one Gram matrix).  Without the shift a
     nearly constant kernel (a wide bandwidth) cancels in the mmd sums, which
-    then hold only to about 1e-16 * e^C and depend on the row order.  Each
+    then hold only to about 1e-16 and depend on the row order.  Each
     block is reduced by _block_terms, one at a time while it is in cache, and
     _combine_terms weighs the three terms.
     """

@@ -1,5 +1,6 @@
 """Gram-matrix construction and double-centering."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,24 @@ class KernelSpec:
             raise ValueError(f"sigma must be a positive finite real, got {self.sigma!r}")
         if not np.isfinite(self.log_scale):
             raise ValueError(f"log_scale must be finite, got {self.log_scale!r}")
+
+
+def _rescale(value, log_scale, power):
+    """value * e^(power * log_scale): a magnitude computed at C = 0 moved to C = log_scale.
+
+    A discrepancy and everything measured in its units scale as e^C (mmd) or
+    e^(2C) (mvd) under k' = e^C k; a variance of them as the square of that.
+    Raises a ValueError that names log_scale where the factor or the product
+    is not finite (e^(2C) overflows float64 from C of about 355 on).
+    """
+    try:
+        scaled = math.exp(power * log_scale) * float(value)
+    except OverflowError:  # math.exp overflows by raising, never by returning inf
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise ValueError(f"log_scale={log_scale!r} is too large: the scaled value overflowed float64; "
+                         "lower KernelSpec.log_scale")
+    return scaled
 
 
 def gram(x, y, spec, *, out=None):

@@ -10,6 +10,7 @@ fixes the second moment through the affine correction W' = xi * S + c while
 the first moment is kept at the spectrum's own mean.
 """
 
+import dataclasses
 import math
 import os
 import threading
@@ -19,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import (KINDS, _block_terms, _check_kind, _check_kinds, _combine_terms, _h_matrix,
-                          _raw_statistics, _shift)
-from .kernels import _center, as_sample, center_gram, gram
+from .discrepancy import (KINDS, _POWER, _block_terms, _check_kind, _check_kinds, _combine_terms,
+                          _h_matrix, _raw_statistics, _shift)
+from .kernels import _center, _rescale, as_sample, center_gram, gram
 
 # Variance-inflation defaults keyed by the subsample fraction k/n.  These are
 # through-origin regression slopes of exact against subsampled variances,
@@ -234,13 +235,17 @@ def spectral_weights(source, n):
     eigenvalue is structural and is dropped; remaining negatives can only be
     round-off from the eigensolver and are clamped to zero.
 
-    source must be symmetric to within 1e-8 of its largest magnitude.  It is
-    left unchanged: the weights come from one private copy, scaled in place.
+    source must be finite and symmetric to within 1e-8 of its largest
+    magnitude.  It is left unchanged: the weights come from one private copy,
+    scaled in place.
     """
     a = np.array(source, dtype=float)
     if a.ndim != 2 or a.shape != (n, n):
         raise ValueError(f"source must be {n} x {n}, got shape {a.shape}")
-    if np.isfinite(a).all() and a.size:
+    if not np.isfinite(a).all():
+        raise ValueError("source matrix has non-finite entries: the kernel values "
+                         "overflowed float64; lower KernelSpec.log_scale")
+    if a.size:
         scale = max(float(a.max()), -float(a.min()))
         if not _is_symmetric(a, 1e-8 * max(scale, 1e-300)):
             raise ValueError("source matrix is not symmetric")
@@ -268,11 +273,8 @@ def _spectral_weights(a, n):
     symmetric up to round-off, which can exceed the public check's tolerance
     when the kernel is nearly constant (tiny sigma).  eigvalsh reads only the
     lower triangle, so the round-off in the upper one cannot change the
-    weights.
+    weights.  a must be finite, as every matrix built at C = 0 is.
     """
-    if not np.isfinite(a).all():
-        raise ValueError("source matrix has non-finite entries: the kernel values "
-                         "overflowed float64; lower KernelSpec.log_scale")
     a /= n
     eigs = np.linalg.eigvalsh(a)  # ascending
     eigs = eigs[1:]  # drop the structural zero (the smallest eigenvalue)
@@ -336,6 +338,8 @@ def subsample_variance(x, spec, kind, plan, m):
     actual test by (n+m)^4/(n^2 m^2) * k^2 l^2/(k+l)^4; m is the size of the
     companion sample the test will be run against.
 
+    It is computed at C = 0 and scaled by e^(2pC), C = spec.log_scale and p = 2
+    for mvd, 1 for mmd; an overflow raises a ValueError that names log_scale.
     The full Gram matrix of x is computed once and subsample Gram blocks are
     taken as submatrices, which gives identical values to rebuilding them
     from the raw rows.  Iteration i draws its rows from the stream
@@ -361,7 +365,8 @@ def subsample_variance(x, spec, kind, plan, m):
     if m < 2:
         raise ValueError(f"companion sample size must be >= 2, got m={m}")
     plan.validate(x.shape[0])
-    return _subsample_variance(gram(x, x, spec), (kind,), plan, m)[0]
+    v_sub = _subsample_variance(gram(x, x, dataclasses.replace(spec, log_scale=0.0)), (kind,), plan, m)[0]
+    return _rescale(v_sub, spec.log_scale, 2.0 * _POWER[kind])
 
 
 def _worker_count():
@@ -561,6 +566,10 @@ class TestReport:
     describes.  critical_value comes from the corrected law W'; the
     uncorrected one from the raw spectrum law is reported alongside for
     comparison.  reject is statistic > critical_value.
+
+    The test runs at C = 0.  statistic, both critical values, c,
+    weights_trace and clipped_mass are then scaled by e^(pC) (p = 2 for mvd,
+    1 for mmd) and v_sub by e^(2pC); every other field keeps its bits for every C.
     """
 
     kind: str
@@ -609,6 +618,11 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     chi-square draws use the RNG stream (seed, 1), disjoint from the
     subsampling streams (seed, 0, i).
 
+    Every step runs at C = 0 and only the report's magnitudes carry C =
+    spec.log_scale (see TestReport).  A scaled magnitude that overflows, or a
+    scaled statistic and critical value that underflow out of the order
+    reject says, raise a ValueError that names log_scale.
+
     The kinds share the Gram blocks, the subsample index sets and gathers,
     and the normals of the (seed, 1) stream, so each report is exactly the
     one a run for its kind alone gives.
@@ -640,6 +654,9 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     if plan is None:
         plan = SubsamplingPlan.for_sample(n, seed=seed)
     plan.validate(n)
+    # Every step runs at C = 0; log_scale scales only the report's magnitudes.
+    log_scale = spec.log_scale
+    spec = dataclasses.replace(spec, log_scale=0.0)
 
     # Each raw block is reduced to its statistic terms in place (as
     # _raw_statistics would) and dropped before the next one is built.
@@ -682,32 +699,34 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
         stat = (n + m) * max(float(raw), 0.0)
         wprime = na.xi * s + na.c
         crit = _quantile(wprime, alpha)
-        crit_uncorrected = _quantile(s, alpha)
-        for name, value in (("statistic", stat), ("v_sub", na.v_sub), ("xi", na.xi), ("c", na.c),
-                            ("critical_value", crit), ("critical_value_uncorrected", crit_uncorrected)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} is {value}: the kernel values overflowed float64; "
-                                 f"lower KernelSpec.log_scale (got {spec.log_scale})")
+        reject = bool(stat > crit)
+        power = _POWER[kind]
+        scaled_stat = _rescale(stat, log_scale, power)
+        scaled_crit = _rescale(crit, log_scale, power)
+        if (scaled_stat > scaled_crit) != reject:
+            raise ValueError(f"log_scale={log_scale!r} is too small: the scaled statistic and critical "
+                             "value underflowed float64 and no longer order as the test decided; "
+                             "raise KernelSpec.log_scale")
         reports.append(TestReport(
             kind=kind,
             n=n,
             m=m,
-            statistic=stat,
-            critical_value=crit,
-            critical_value_uncorrected=crit_uncorrected,
+            statistic=scaled_stat,
+            critical_value=scaled_crit,
+            critical_value_uncorrected=_rescale(_quantile(s, alpha), log_scale, power),
             p_value=float(np.mean(wprime >= stat)),
-            reject=bool(stat > crit),
+            reject=reject,
             alpha=float(alpha),
             tau=na.tau,
-            v_sub=na.v_sub,
+            v_sub=_rescale(na.v_sub, log_scale, 2.0 * power),
             xi=na.xi,
-            c=na.c,
+            c=_rescale(na.c, log_scale, power),
             draws=draws,
             seed=seed,
             plan=plan,
-            weights_trace=na.weights.trace,
+            weights_trace=_rescale(na.weights.trace, log_scale, power),
             clipped_count=na.weights.clipped_count,
-            clipped_mass=na.weights.clipped_mass,
+            clipped_mass=_rescale(na.weights.clipped_mass, log_scale, power),
             statistic_clamped=bool(raw < 0.0),
         ))
     return reports

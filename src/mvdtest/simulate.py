@@ -8,11 +8,13 @@ replications on a thread pool and still return the rows of a serial run.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import _check_dim
 from .discrepancy import _check_kinds, _raw_statistics
 from .kernels import KernelSpec, gram
 from .null import SubsamplingPlan, _check_seed, _stream_states, _subsample_variance, _worker_count, run_tests
@@ -39,8 +41,7 @@ def sigma_from_rule(rule, d):
     else:
         name = "d^-3/4" if rule == "auto" else rule
         if name in SIGMA_RULES:
-            if d < 1:
-                raise ValueError(f"dimension must be >= 1 to apply rule {rule!r}")
+            _check_dim(d)
             return float(d) ** -SIGMA_RULES[name]
         try:
             value = float(name)
@@ -361,6 +362,7 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
         "table": "power", "cells": [list(c) for c in cells], "alternatives": list(alternatives),
         "kinds": list(kinds), "alpha": float(alpha), "reps": reps, "divisor": int(divisor),
         "iterations": int(iterations), "draws": int(draws),
-        "tau": tau if tau is None or isinstance(tau, (int, float)) else dict(tau), "seed": seed,
+        "tau": None if tau is None else float(tau) if isinstance(tau, numbers.Real) else dict(tau),
+        "seed": seed,
     }
     return ExperimentResult(config=config, rows=tuple(rows))

@@ -7,6 +7,7 @@ reference bands for the null variance and test power, scale equivariance,
 and the moment contract of the corrected null law.
 """
 
+import dataclasses
 import math
 import time
 
@@ -33,6 +34,7 @@ from mvdtest import (
     type1_power_table,
     variance_table,
 )
+from mvdtest.kernels import _rescale
 
 
 def test_statistics_match_brute_force_expansion():
@@ -157,13 +159,18 @@ def test_type_one_error_and_power_bands():
 def test_log_scale_equivariance():
     """Raising the kernel scale C by delta multiplies the covariance
     statistic and its null weights by e^(2 delta), the mean statistic by
-    e^delta, the subsampled variance by e^(4 delta) (covariance) and
-    e^(2 delta) (mean), leaves xi unchanged, and flips no decision."""
+    e^delta, and the subsampled variance by e^(4 delta) (covariance) and
+    e^(2 delta) (mean).  A test report at any C is the C = 0 report with its
+    magnitudes scaled by that one helper: p_value, reject, xi, tau and
+    clipped_count keep their bits, also at C = -300, where v_sub underflows
+    to 0.  At C = -400 an mvd rejection, whose statistic and critical value
+    both underflow to 0, raises instead of reporting reject=False."""
     start = time.time()
     delta = 0.7
     rng = np.random.default_rng(515)
     x = rng.standard_normal((60, 3))
     y = rng.standard_normal((60, 3)) * 1.2
+    y_alt = rng.exponential(size=(60, 3)) - 1.0
     plan = SubsamplingPlan(n1=30, k=7, l=7, iterations=200, seed=44)
     lo_spec = KernelSpec(sigma=0.4, log_scale=0.3)
     hi_spec = KernelSpec(sigma=0.4, log_scale=0.3 + delta)
@@ -184,10 +191,25 @@ def test_log_scale_equivariance():
         v_lo = subsample_variance(x, lo_spec, kind, plan, 60)
         v_hi = subsample_variance(x, hi_spec, kind, plan, 60)
         np.testing.assert_allclose(v_hi, v_factor * v_lo, rtol=1e-9)
-        r_lo = run_test(x, y, lo_spec, kind=kind, plan=plan, draws=4000, seed=7)
-        r_hi = run_test(x, y, hi_spec, kind=kind, plan=plan, draws=4000, seed=7)
-        np.testing.assert_allclose(r_hi.xi, r_lo.xi, rtol=1e-9)
-        assert r_hi.reject == r_lo.reject
+
+    scaled_fields = ("statistic", "critical_value", "critical_value_uncorrected", "c", "weights_trace",
+                     "clipped_mass")
+    for y_test, rejects in ((y, False), (y_alt, True)):
+        for kind, power in (("mvd", 2.0), ("mmd", 1.0)):
+            base = run_test(x, y_test, KernelSpec(sigma=0.4), kind=kind, plan=plan, draws=4000, seed=7)
+            assert base.reject == rejects
+            for c in (0.7, 5.0, -300.0, -400.0):
+                spec = KernelSpec(sigma=0.4, log_scale=c)
+                if kind == "mvd" and c == -400.0 and base.reject:
+                    with pytest.raises(ValueError, match="log_scale=-400.0 is too small"):
+                        run_test(x, y_test, spec, kind=kind, plan=plan, draws=4000, seed=7)
+                    continue
+                r = run_test(x, y_test, spec, kind=kind, plan=plan, draws=4000, seed=7)
+                assert (r.p_value, r.reject, r.xi, r.tau, r.clipped_count) == (
+                    base.p_value, base.reject, base.xi, base.tau, base.clipped_count)
+                scaled = {name: _rescale(getattr(base, name), c, power) for name in scaled_fields}
+                scaled["v_sub"] = _rescale(base.v_sub, c, 2.0 * power)
+                assert r == dataclasses.replace(base, **scaled)
     assert time.time() - start < 60.0
 
 

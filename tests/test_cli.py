@@ -222,6 +222,22 @@ class TestTestCommand:
         assert out == ""
         assert json.loads(out_path.read_text(encoding="utf-8"))["kind"] == "mvd"
 
+    def test_underflowing_log_scale_is_json_error(self, capsys, tmp_path):
+        # mvd rejects at C = 0; at C = -400 its statistic and critical value
+        # both scale by e^(-800), which underflows to 0.
+        rng = np.random.default_rng(271)
+        x_path, y_path = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+        save_csv(rng.normal(size=(40, 2)), x_path)
+        save_csv(2.0 * rng.normal(size=(36, 2)), y_path)
+        argv = ["test", "--x", x_path, "--y", y_path, "--kind", "mvd", "--draws", "2000"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["reject"] is True
+        code, out, err = _run(capsys, argv + ["--log-scale", "-400"])
+        assert code == 1
+        assert out == ""
+        assert "log_scale=-400.0" in json.loads(err)["error"]
+
     def test_missing_file_is_json_error_on_stderr(self, capsys, tmp_path):
         code, out, err = _run(capsys, ["test", "--x", str(tmp_path / "nope.csv"),
                                        "--y", str(tmp_path / "nope.csv")])
@@ -349,7 +365,7 @@ class TestClosedFormCommand:
     @pytest.mark.parametrize("argv,error", [
         (["closed-form", "--sigma", "0.5", "--d", "-3"], "d must be an integer >= 1, got -3"),
         (["curves", "--sigma", "0.5", "--d", "0"], "d must be an integer >= 1, got 0"),
-        (["closed-form", "--d", "0"], "dimension must be >= 1 to apply rule 'auto'"),
+        (["closed-form", "--d", "0"], "d must be an integer >= 1, got 0"),
     ])
     def test_bad_dimension_is_json_error(self, capsys, argv, error):
         code, out, err = _run(capsys, argv)

@@ -32,8 +32,8 @@ from mvdtest import (
     spectral_weights,
     subsample_variance,
 )
-from mvdtest.kernels import gram_set_from_blocks
-from mvdtest.discrepancy import statistic
+from mvdtest.kernels import _rescale, gram_set_from_blocks
+from mvdtest.discrepancy import _POWER, statistic
 
 CHI2_1_Q95 = 3.841458820694124  # 0.95 quantile of chi-square with 1 degree of freedom
 
@@ -336,10 +336,12 @@ class TestSubsampleVariance:
         spec = KernelSpec(sigma=sigma, log_scale=0.5)
         plan = SubsamplingPlan(n1=70, k=60, l=45, iterations=100, seed=29)
         want = {kind: _reference_subsample_variance(x, spec, kind, plan, 90) for kind in ("mvd", "mmd")}
-        k_x = gram(x, x, spec)
+        # subsample_variance works at C = 0 and scales by e^(2pC).
+        k_x = gram(x, x, KernelSpec(sigma=sigma))
         for kinds in (("mvd", "mmd"), ("mmd", "mvd")):
             got = mvdtest.null._subsample_variance(k_x, kinds, plan, 90)
             for kind, value in zip(kinds, got):
+                value = _rescale(value, 0.5, 2.0 * _POWER[kind])
                 np.testing.assert_allclose(value, want[kind], rtol=1e-12)
                 assert value == subsample_variance(x, spec, kind, plan, 90)
 
@@ -707,29 +709,37 @@ class TestRunTest:
                                                  (20.0, 0.7)])
     def test_lower_level_pieces_reproduce_the_report(self, sigma, log_scale):
         # run_tests streams the Gram blocks and scales the spectra's sources
-        # in place; the public pieces, composed, must give the same bits.
-        # The test draws its null law from the stream (seed, 1), not from seed.
+        # in place; the public pieces, composed at C = 0 and their magnitudes
+        # scaled to log_scale, must give the same bits.  The test draws its
+        # null law from the stream (seed, 1), not from seed.
         x, y = self._samples()
         spec = KernelSpec(sigma=sigma, log_scale=log_scale)
         reports = run_tests(x, y, spec, kinds=("mvd", "mmd"), draws=2000, seed=21)
-        g = build_gram_set(x, y, spec)
+        unit = KernelSpec(sigma=sigma)
+        g = build_gram_set(x, y, unit)
         plan = SubsamplingPlan.for_sample(g.n, divisor=8, seed=21)
         rho = g.n / (g.n + g.m)
         for rep in reports:
             kind = rep.kind
+            power = _POWER[kind]
             w = spectral_weights(h_matrix(g) if kind == "mvd" else g.kc_x, g.n)
-            v = subsample_variance(x, spec, kind, plan, g.m)
+            v = subsample_variance(x, unit, kind, plan, g.m)
             law = fit_wprime(w, rho, v, tau=default_tau(kind, plan.k / g.n), draws_j=2000)
             stat = (g.n + g.m) * statistic(g, kind)
             s = sample_weighted_chisq(w, rho, 2000, seed=[21, 1])
-            assert stat == rep.statistic
-            assert critical_value(law, 0.05, seed=[21, 1]) == rep.critical_value
-            assert critical_value(dataclasses.replace(law, xi=1.0, c=0.0), 0.05,
-                                  seed=[21, 1]) == rep.critical_value_uncorrected
+            assert _rescale(stat, log_scale, power) == rep.statistic
+            assert _rescale(critical_value(law, 0.05, seed=[21, 1]), log_scale, power) == rep.critical_value
+            assert _rescale(critical_value(dataclasses.replace(law, xi=1.0, c=0.0), 0.05, seed=[21, 1]),
+                            log_scale, power) == rep.critical_value_uncorrected
             assert float(np.mean(law.xi * s + law.c >= stat)) == rep.p_value
-            assert (w.trace, w.clipped_count, w.clipped_mass) == (
-                rep.weights_trace, rep.clipped_count, rep.clipped_mass)
-            assert critical_value(law, 0.05, seed=21) != rep.critical_value
+            assert (law.xi, law.tau) == (rep.xi, rep.tau)
+            assert _rescale(law.c, log_scale, power) == rep.c
+            assert _rescale(v, log_scale, 2.0 * power) == rep.v_sub
+            assert rep.v_sub == subsample_variance(x, spec, kind, plan, g.m)
+            assert _rescale(w.trace, log_scale, power) == rep.weights_trace
+            assert _rescale(w.clipped_mass, log_scale, power) == rep.clipped_mass
+            assert w.clipped_count == rep.clipped_count
+            assert _rescale(critical_value(law, 0.05, seed=21), log_scale, power) != rep.critical_value
 
     def test_uncorrected_critical_value_is_xi_free(self):
         x, y = self._samples()
@@ -753,13 +763,12 @@ class TestRunTest:
 
     @pytest.mark.parametrize("kind,log_scale", [("mvd", 300.0), ("mvd", 400.0), ("mmd", 800.0)])
     def test_kernel_scale_overflow_fails_loudly(self, kind, log_scale):
-        # mvd at C=300 overflows only v_sub; the other two overflow the
-        # spectrum's source matrix.
+        # mvd at C=300 overflows only v_sub's factor e^(4C); the other two
+        # overflow the factor e^(pC) of every reported magnitude.
         x, y = self._samples(seed=96, n=100, m=100, d=3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="overflowed.*log_scale"):
-                run_test(x, y, KernelSpec(sigma=0.3, log_scale=log_scale), kind=kind,
-                         draws=2000, seed=1)
+        with pytest.raises(ValueError, match="overflowed.*log_scale"):
+            run_test(x, y, KernelSpec(sigma=0.3, log_scale=log_scale), kind=kind,
+                     draws=2000, seed=1)
 
     def test_nearly_constant_kernel_gives_finite_reports(self):
         # At sigma = 1e-9 the Gram entries are 1 - O(1e-8), so H and K~_X are

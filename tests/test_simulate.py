@@ -54,9 +54,10 @@ class TestSigmaFromRule:
         with pytest.raises(ValueError, match="positive finite"):
             sigma_from_rule("-1.5", 5)
 
-    def test_rejects_zero_dimension_for_rules(self):
-        with pytest.raises(ValueError, match="dimension must be >= 1"):
-            sigma_from_rule("d^-1", 0)
+    @pytest.mark.parametrize("rule,d", [("d^-1", 0), ("auto", 2.5), ("d^-1", True)])
+    def test_rejects_zero_dimension_for_rules(self, rule, d):
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer >= 1, got {d!r}")):
+            sigma_from_rule(rule, d)
 
 
 class TestDistributions:
@@ -359,6 +360,14 @@ class TestTypeOnePowerTable:
         one = self._run(tau=0.4, reps=2)
         two = self._run(tau={"mvd": 0.4, "mmd": 0.4}, reps=2)
         assert one.rows == two.rows
+
+    @pytest.mark.parametrize("tau,plain", [(np.float32(0.5), 0.5), (np.int64(1), 1.0)])
+    def test_numpy_scalar_tau(self, tau, plain):
+        got = self._run(tau=tau, reps=1, alternatives=())
+        want = self._run(tau=plain, reps=1, alternatives=())
+        assert got.rows == want.rows
+        assert type(got.config["tau"]) is float and got.config == want.config
+        assert json.dumps(got.config) == json.dumps(want.config)
 
     def test_rejects_unknown_alternative(self):
         with pytest.raises(ValueError, match="unknown alternative"):
