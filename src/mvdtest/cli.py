@@ -18,12 +18,9 @@ from . import __version__
 from .closed_form import mmd_sq_isotropic, mvd_mmd_curves, mvd_sq_isotropic
 from .kernels import KernelSpec, as_sample
 from .null import SubsamplingPlan, run_tests
-from .simulate import sigma_from_rule, type1_power_table, variance_table
+from .simulate import _COLUMNS, sigma_from_rule, type1_power_table, variance_table
 
 SEED_ENV_VAR = "MVDTEST_SEED"
-
-_SIM_COLUMNS = ("table", "sigma_rule", "sigma", "d", "n", "m", "kind", "estimate",
-                "scenario", "divisor", "k", "l", "reps", "value", "se")
 
 
 def load_csv(path, has_header=False):
@@ -273,9 +270,9 @@ def cmd_curves(args):
 
 def _result_csv(result):
     lines = ["# config " + json.dumps(result.config, sort_keys=True)]
-    lines.append(",".join(_SIM_COLUMNS))
+    lines.append(",".join(_COLUMNS))
     for row in result.rows:
-        lines.append(",".join(_csv_cell(row[col]) for col in _SIM_COLUMNS))
+        lines.append(",".join(_csv_cell(row[col]) for col in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -344,20 +344,20 @@ def subsample_variance(x, spec, kind, plan, m):
     taken as submatrices, which gives identical values to rebuilding them
     from the raw rows.  Iteration i draws its rows from the stream
     default_rng([plan.seed, 0, i]), so the rows it uses do not depend on
-    evaluation order.  All streams are seeded in one vectorized pass, and each
-    lane resets one Generator of its own to an iteration's state; stream 0 is
-    checked against default_rng on every call, and a mismatch (a numpy that
-    seeds differently) raises RuntimeError.
+    evaluation order.  All streams are seeded in one vectorized pass; stream 0
+    is checked against default_rng on every call, and a mismatch (a numpy
+    that seeds differently) raises RuntimeError.
     The iterations are evaluated in chunks: one gather per block type copies
     a chunk's blocks into stacked (b, k, k), (b, l, l) and (b, k, l) arrays,
     and one vectorized pass reduces them to b statistics.  A chunk holds at
     most about 2^18 gathered scalars (2 MB), or one iteration if a single
     one needs more, so memory stays bounded per lane whatever the iteration
-    count.  When one iteration gathers at least 2^14 scalars (k = l >= 74),
-    the chunks are shared out over one lane (a thread with its own index
-    buffers) per available CPU; each chunk keeps its boundaries, its streams
-    and its slice of the output, so the result is bit-identical to a run on
-    one lane.
+    count.  The chunks run on _run_lanes, the seeded lane runner the exact
+    replications of simulate.variance_table share.  When one iteration
+    gathers at least 2^14 scalars (k = l >= 74), they are shared out over one
+    lane (a thread with its own Generator and index buffers) per available
+    CPU; each chunk keeps its boundaries, its streams and its slice of the
+    output, so the result is bit-identical to a run on one lane.
     """
     _check_kind(kind)
     x = as_sample(x, "x")
@@ -377,29 +377,75 @@ def _worker_count():
         return os.cpu_count() or 1
 
 
+def _run_lanes(prefix, count, chunk, workers, lane):
+    """Run items [0, count) in chunks of chunk on min(workers, chunks) lanes.
+
+    Item i draws from the stream default_rng([*prefix, i]).  All streams are
+    seeded in one pass before any lane starts (see _stream_states), and each
+    lane owns one Generator; stream(i) resets it to item i's stream and
+    returns it.  lane(stream) is called once per lane, so it can allocate the
+    lane's buffers, and returns work(start, stop), which handles the items
+    [start, stop).  Lane 0 runs in the calling thread and the others on one
+    thread pool; each lane takes the next chunk not yet started until none is
+    left.  As long as work writes only its own items' results, those do not
+    depend on the lane count.  A failure in any lane stops every lane from
+    taking a further chunk and is re-raised here.
+    """
+    states = _stream_states(prefix, count)
+    starts = range(0, count, chunk)
+    todo = iter(starts)
+    lock = threading.Lock()
+
+    def run():
+        bits = np.random.PCG64()
+        rng = np.random.Generator(bits)
+
+        def stream(i):
+            bits.state = states[i]
+            return rng
+
+        try:
+            work = lane(stream)
+            while True:
+                with lock:
+                    start = next(todo, None)
+                if start is None:
+                    return
+                work(start, min(start + chunk, count))
+        except BaseException:
+            with lock:  # the other lanes take no further chunk
+                for _ in todo:
+                    pass
+            raise
+
+    lanes = min(workers, len(starts))
+    if lanes == 1:
+        run()
+    else:
+        with ThreadPoolExecutor(lanes - 1) as pool:
+            futures = [pool.submit(run) for _ in range(lanes - 1)]
+            run()
+            for future in futures:
+                future.result()
+
+
 def _subsample_variance(k_full, kinds, plan, m):
     """subsample_variance of each kind in kinds, from the n x n Gram block of x.
 
-    All kinds share each chunk's index sets and gathered blocks.  Lane 0 runs
-    in the calling thread and any further lanes on a thread pool; each lane
-    takes the next chunk not yet started until none is left.
+    All kinds share each chunk's index sets and gathered blocks.  The chunks
+    run on _run_lanes, on one lane per CPU above the _LANE_SCALARS gate and
+    on the calling thread alone below it.
     """
     n = k_full.shape[0]
     k, l = plan.k, plan.l
     raw = {kind: np.empty(plan.iterations) for kind in kinds}
     per_iteration = k * k + l * l + k * l
     chunk = max(1, _CHUNK_SCALARS // per_iteration)
-    starts = range(0, plan.iterations, chunk)
-    workers = min(_worker_count(), len(starts)) if per_iteration >= _LANE_SCALARS else 1
-    todo = iter(starts)
-    lock = threading.Lock()
     # A take from flat row-major indices gathers the same entries as
     # k_full[rows[:, :, None], cols[:, None, :]], about 1.5x faster at n=2000.
     flat = k_full.ravel()
 
-    states = _stream_states((plan.seed, 0), plan.iterations)
-
-    def lane():
+    def lane(stream):
         most = min(chunk, plan.iterations)
         one = np.empty((most, k), dtype=np.intp)
         two = np.empty((most, l), dtype=np.intp)
@@ -407,8 +453,6 @@ def _subsample_variance(k_full, kinds, plan, m):
         # Gather outputs allocated once: fresh ones per chunk can be trimmed
         # from the heap and faulted in again every time.
         blocks_x, blocks_y, blocks_xy = (np.empty((most, r, c)) for r, c in ((k, k), (l, l), (k, l)))
-        bits = np.random.PCG64()
-        rng = np.random.Generator(bits)
 
         def gather(rows, cols, out):
             idx = index[:rows.size * cols.shape[1]].reshape(*rows.shape, cols.shape[1])
@@ -418,38 +462,23 @@ def _subsample_variance(k_full, kinds, plan, m):
             # iterations at n = 2000.
             return flat.take(idx, out=out[:len(rows)], mode="clip")
 
-        try:
-            while True:
-                with lock:
-                    start = next(todo, None)
-                if start is None:
-                    return
-                stop = min(start + chunk, plan.iterations)
-                for row, i in enumerate(range(start, stop)):
-                    bits.state = states[i]
-                    one[row] = rng.choice(plan.n1, size=k, replace=False)
-                    two[row] = rng.choice(n - plan.n1, size=l, replace=False)
-                b = stop - start
-                two[:b] += plan.n1
-                values = _raw_statistics(kinds, gather(one[:b], one[:b], blocks_x),
-                                         gather(two[:b], two[:b], blocks_y),
-                                         gather(one[:b], two[:b], blocks_xy))
-                for kind in kinds:
-                    raw[kind][start:stop] = values[kind]
-        except BaseException:
-            with lock:  # the other lanes take no further chunk
-                for _ in todo:
-                    pass
-            raise
+        def work(start, stop):
+            for row, i in enumerate(range(start, stop)):
+                rng = stream(i)
+                one[row] = rng.choice(plan.n1, size=k, replace=False)
+                two[row] = rng.choice(n - plan.n1, size=l, replace=False)
+            b = stop - start
+            two[:b] += plan.n1
+            values = _raw_statistics(kinds, gather(one[:b], one[:b], blocks_x),
+                                     gather(two[:b], two[:b], blocks_y),
+                                     gather(one[:b], two[:b], blocks_xy))
+            for kind in kinds:
+                raw[kind][start:stop] = values[kind]
 
-    if workers == 1:
-        lane()
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(lane) for _ in range(workers - 1)]
-            lane()
-            for future in futures:
-                future.result()
+        return work
+
+    workers = _worker_count() if per_iteration >= _LANE_SCALARS else 1
+    _run_lanes((plan.seed, 0), plan.iterations, chunk, workers, lane)
     scale = ((n + m) ** 4 / (n**2 * m**2)) * ((k * l) ** 2 / (k + l) ** 4)
     return tuple(float(((k + l) * np.maximum(raw[kind], 0.0)).var(ddof=1) * scale) for kind in kinds)
 
@@ -475,13 +504,12 @@ class NullApprox:
     @property
     def uncorrected_mean(self):
         """Mean of the raw spectrum law S (and of W', by construction)."""
-        return self.weights.trace / (self.rho * (1.0 - self.rho))
+        return _law_moments(self.weights, self.rho)[0]
 
     @property
     def uncorrected_variance(self):
         """Variance of the raw spectrum law S."""
-        lam = self.weights.lambdas
-        return 2.0 * float(lam @ lam) / (self.rho * (1.0 - self.rho)) ** 2
+        return _law_moments(self.weights, self.rho)[1]
 
     @property
     def mean(self):
@@ -492,6 +520,13 @@ class NullApprox:
     def variance(self):
         """Variance of W'."""
         return self.xi**2 * self.uncorrected_variance
+
+
+def _law_moments(w, rho):
+    """Mean and variance of the spectrum law S = (1/(rho(1-rho))) * sum_l lambda_l Z_l^2."""
+    denom = rho * (1.0 - rho)
+    lam = w.lambdas
+    return w.trace / denom, 2.0 * float(lam @ lam) / denom**2
 
 
 def fit_wprime(w, rho, v_sub, tau, draws_j=10000):
@@ -506,10 +541,7 @@ def fit_wprime(w, rho, v_sub, tau, draws_j=10000):
     if v_sub < 0.0:
         raise ValueError(f"v_sub must be >= 0, got {v_sub!r}")
     _check_tau(tau)
-    lam = w.lambdas
-    denom = rho * (1.0 - rho)
-    mu_s = w.trace / denom
-    v_s = 2.0 * float(lam @ lam) / denom**2
+    mu_s, v_s = _law_moments(w, rho)
     if v_s == 0.0:
         if v_sub > 0.0:
             raise ValueError("degenerate spectrum: all weights are zero but v_sub > 0")

@@ -4,28 +4,26 @@ Every experiment is deterministic given its seed: replication r of cell c in
 scenario s derives its RNG streams from the integer key (seed, c, s, r, ...),
 so results do not depend on evaluation order and rerunning a configuration
 reproduces it exactly.  That is what lets variance_table run its exact
-replications on a thread pool and still return the rows of a serial run.
+replications on null._run_lanes and still return the rows of a serial run.
 """
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .closed_form import _check_dim
 from .discrepancy import _check_kinds, _raw_statistics
 from .kernels import KernelSpec, gram
-from .null import SubsamplingPlan, _check_seed, _stream_states, _subsample_variance, _worker_count, run_tests
+from .null import SubsamplingPlan, _check_seed, _run_lanes, _subsample_variance, _worker_count, run_tests
 
 # Named bandwidth presets: sigma = d ** -exponent.
 SIGMA_RULES = {"d^-3/4": 0.75, "d^-7/8": 0.875, "d^-1": 1.0, "d^-2": 2.0}
 
-# variance_table hands its exact replications to the pool in contiguous blocks
-# of this many reps: enough work per task to hide the hand-off, and enough
-# tasks (40 at reps=2000) to keep every worker busy until the end.
-_BLOCK_REPS = 50
+# The columns of every variance_table and type1_power_table row, in order.
+_COLUMNS = ("table", "sigma_rule", "sigma", "d", "n", "m", "kind", "estimate",
+            "scenario", "divisor", "k", "l", "reps", "value", "se")
 
 _FAMILIES = ("std_normal", "uniform_unit", "centered_exponential", "gaussian", "local_mixture")
 
@@ -74,8 +72,7 @@ class DistributionSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
+        _check_dim(self.dim)
 
     @classmethod
     def std_normal(cls, d):
@@ -148,6 +145,11 @@ class ExperimentResult:
     rows: tuple
 
 
+def _row(**fields):
+    """One table row: every column of _COLUMNS in order, None where fields has no value."""
+    return {col: fields.get(col) for col in _COLUMNS}
+
+
 def _variance_se(values):
     """Standard error of the unbiased sample variance of i.i.d. values."""
     r = values.size
@@ -181,40 +183,30 @@ def _check_divisor(div):
 def _exact_scaled(kinds, spec, n, m, d, key, reps):
     """{kind: (n + m) * statistic of each of reps fresh draws X, Y ~ N(0, I_d)}.
 
-    Replication rep draws from its own stream [*key, 0, rep].  All streams
-    are seeded in one pass before any block starts, and each block resets one
-    Generator of its own to a rep's stream.  Contiguous blocks of _BLOCK_REPS
-    reps run on a thread pool, one worker per available CPU, each block
-    filling its own slice; so the arrays equal the serial loop's bit for bit.
-    With one CPU (or one block) the loop runs inline.
+    Replication rep draws from its own stream [*key, 0, rep].  The reps run
+    one at a time on null._run_lanes, one lane per available CPU, each rep
+    filling its own entry; so the arrays equal the serial loop's bit for bit.
     """
     scaled = {kind: np.empty(reps) for kind in kinds}
-    states = _stream_states((*key, 0), reps)
 
-    def run(block):
-        # One set of Gram buffers per block, refilled by every rep: fresh
+    def lane(stream):
+        # One set of Gram buffers per lane, refilled by every rep: fresh
         # blocks per rep can make the allocator hand pages back and fault them
         # in again, at a cost that depends on the allocator's state.
         k_x, k_y, k_xy = np.empty((n, n)), np.empty((m, m)), np.empty((n, m))
-        bits = np.random.PCG64()
-        rng = np.random.Generator(bits)
-        for rep in block:
-            bits.state = states[rep]
-            x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
-            raws = _raw_statistics(kinds, gram(x, x, spec, out=k_x), gram(y, y, spec, out=k_y),
-                                   gram(x, y, spec, out=k_xy))
-            for kind in kinds:
-                scaled[kind][rep] = (n + m) * max(float(raws[kind]), 0.0)
 
-    blocks = [range(lo, min(lo + _BLOCK_REPS, reps)) for lo in range(0, reps, _BLOCK_REPS)]
-    workers = min(_worker_count(), len(blocks))
-    if workers == 1:
-        run(range(reps))
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            # map re-raises a block's exception here and cancels the blocks not yet started.
-            for _ in pool.map(run, blocks):
-                pass
+        def work(start, stop):
+            for rep in range(start, stop):
+                rng = stream(rep)
+                x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+                raws = _raw_statistics(kinds, gram(x, x, spec, out=k_x), gram(y, y, spec, out=k_y),
+                                       gram(x, y, spec, out=k_xy))
+                for kind in kinds:
+                    scaled[kind][rep] = (n + m) * max(float(raws[kind]), 0.0)
+
+        return work
+
+    _run_lanes((*key, 0), reps, 1, _worker_count(), lane)
     return scaled
 
 
@@ -227,7 +219,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     k = l = n // divisor on a fresh X.  Through-origin slopes of exact
     against subsampled values across cells are appended per (kind, divisor) —
     slope minus one is the tau calibration the test's defaults use.  The
-    exact replications run on one thread per available CPU; each has its own
+    exact replications run on one lane per available CPU; each has its own
     stream, so the rows equal those of a serial run bit for bit.
     """
     cells = _check_cells(cells)
@@ -254,35 +246,25 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
         scaled = _exact_scaled(kinds, spec, n, m, d, (seed, ci), reps)
         for kind in kinds:
             exact[ci, kind] = float(scaled[kind].var(ddof=1))
-            rows.append({
-                "table": "variance", "sigma_rule": rule, "sigma": sigma, "d": d, "n": n, "m": m,
-                "kind": kind, "estimate": "exact_variance", "scenario": None, "divisor": None,
-                "k": None, "l": None, "reps": reps,
-                "value": exact[ci, kind], "se": _variance_se(scaled[kind]),
-            })
+            rows.append(_row(table="variance", sigma_rule=rule, sigma=sigma, d=d, n=n, m=m, kind=kind,
+                             estimate="exact_variance", reps=reps, value=exact[ci, kind],
+                             se=_variance_se(scaled[kind])))
         for div in divisors:
             plan = plans[ci, div]
             x = np.random.default_rng([seed, ci, 2, div]).standard_normal((n, d))
             v_subs = _subsample_variance(gram(x, x, spec), kinds, plan, m)
             for kind, v_sub in zip(kinds, v_subs):
                 sub[ci, div, kind] = v_sub
-                rows.append({
-                    "table": "variance", "sigma_rule": rule, "sigma": sigma, "d": d, "n": n, "m": m,
-                    "kind": kind, "estimate": "subsample_variance", "scenario": None, "divisor": div,
-                    "k": plan.k, "l": plan.l, "reps": iterations,
-                    "value": sub[ci, div, kind], "se": None,
-                })
+                rows.append(_row(table="variance", sigma_rule=rule, sigma=sigma, d=d, n=n, m=m, kind=kind,
+                                 estimate="subsample_variance", divisor=div, k=plan.k, l=plan.l,
+                                 reps=iterations, value=v_sub))
     for kind in kinds:
         for div in divisors:
             pairs = [(sub[ci, div, kind], exact[ci, kind]) for ci in range(len(cells))]
             if not any(p[0] > 0 for p in pairs):
                 continue
-            rows.append({
-                "table": "variance", "sigma_rule": None, "sigma": None, "d": None, "n": None, "m": None,
-                "kind": kind, "estimate": "slope", "scenario": None, "divisor": div,
-                "k": None, "l": None, "reps": len(pairs),
-                "value": slope_regression(pairs), "se": None,
-            })
+            rows.append(_row(table="variance", kind=kind, estimate="slope", divisor=div, reps=len(pairs),
+                             value=slope_regression(pairs)))
     config = {
         "table": "variance", "cells": [list(c) for c in cells], "kinds": list(kinds),
         "reps": reps, "divisors": list(divisors), "iterations": int(iterations), "seed": seed,
@@ -339,6 +321,7 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
         sigma = sigma_from_rule(rule, d)
         spec = KernelSpec(sigma=sigma)
         x_spec = DistributionSpec.std_normal(d)
+        plan = SubsamplingPlan.for_sample(n, divisor=divisor, iterations=iterations)
         for si, scenario in enumerate(scenarios):
             y_spec = x_spec if scenario == "null" else _alternative_spec(scenario, d)
             rejected = {kind: 0 for kind in kinds}
@@ -346,18 +329,14 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
                 x = sample(x_spec, n, seed=[seed, ci, si, rep, 0])
                 y = sample(y_spec, m, seed=[seed, ci, si, rep, 1])
                 test_seed = _derived_seed(seed, ci, si, rep, 2)
-                plan = SubsamplingPlan.for_sample(n, divisor=divisor, iterations=iterations, seed=test_seed)
-                for report in run_tests(x, y, spec, kinds=kinds, plan=plan, tau=tau,
+                for report in run_tests(x, y, spec, kinds=kinds, plan=replace(plan, seed=test_seed), tau=tau,
                                         alpha=alpha, draws=draws, seed=test_seed):
                     rejected[report.kind] += report.reject
             for kind in kinds:
                 rate = rejected[kind] / reps
-                rows.append({
-                    "table": "power", "sigma_rule": rule, "sigma": sigma, "d": d, "n": n, "m": m,
-                    "kind": kind, "estimate": "rejection_rate", "scenario": scenario,
-                    "divisor": divisor, "k": max(2, n // divisor), "l": max(2, n // divisor),
-                    "reps": reps, "value": rate, "se": math.sqrt(rate * (1.0 - rate) / reps),
-                })
+                rows.append(_row(table="power", sigma_rule=rule, sigma=sigma, d=d, n=n, m=m, kind=kind,
+                                 estimate="rejection_rate", scenario=scenario, divisor=divisor, k=plan.k,
+                                 l=plan.l, reps=reps, value=rate, se=math.sqrt(rate * (1.0 - rate) / reps)))
     config = {
         "table": "power", "cells": [list(c) for c in cells], "alternatives": list(alternatives),
         "kinds": list(kinds), "alpha": float(alpha), "reps": reps, "divisor": int(divisor),

@@ -15,7 +15,8 @@ from mvdtest import (
     mvd_sq_isotropic,
     run_test,
 )
-from mvdtest.cli import _SIM_COLUMNS, SEED_ENV_VAR, load_csv, main, save_csv
+from mvdtest.cli import SEED_ENV_VAR, load_csv, main, save_csv
+from mvdtest.simulate import _COLUMNS
 
 
 @pytest.fixture
@@ -405,7 +406,7 @@ class TestSimulateCommand:
         config = json.loads(lines[0][len("# config "):])
         assert config["cells"] == [["0.4", 2, 16, 16]]
         assert config["reps"] == 10
-        assert lines[1] == ",".join(_SIM_COLUMNS)
+        assert lines[1] == ",".join(_COLUMNS)
         # 2 kinds x (1 exact + 1 subsample + 1 slope)
         assert len(lines) == 2 + 6
         header = lines[1].split(",")

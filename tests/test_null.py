@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -383,6 +384,66 @@ class TestSubsampleVariance:
         plan = SubsamplingPlan(n1=6, k=2, l=2, iterations=5)
         with pytest.raises(ValueError, match="companion sample size"):
             subsample_variance(x, KernelSpec(sigma=1.0), "mvd", plan, 1)
+
+
+class TestRunLanes:
+    """The one seeded lane runner behind subsampling and the exact replications."""
+
+    PREFIX = (41, 0)
+
+    @pytest.mark.parametrize("workers,chunk,lanes", [(1, 7, 1), (2, 7, 2), (64, 7, 5), (8, 1, 8)])
+    def test_each_item_draws_from_its_own_stream(self, workers, chunk, lanes):
+        out = np.empty(30)
+        threads = []
+
+        def lane(stream):
+            threads.append(threading.get_ident())
+
+            def work(start, stop):
+                for i in range(start, stop):
+                    out[i] = stream(i).random()
+
+            return work
+
+        mvdtest.null._run_lanes(self.PREFIX, 30, chunk, workers, lane)
+        assert out.tolist() == [np.random.default_rng([*self.PREFIX, i]).random() for i in range(30)]
+        # lane is called once per lane, one lane in the calling thread.
+        assert len(threads) == lanes and threading.get_ident() in threads
+
+    def test_a_failure_on_one_lane_stops_after_its_chunk(self):
+        failure = RuntimeError("chunk failed")
+        started = []
+
+        def lane(stream):
+            def work(start, stop):
+                started.append(start)
+                if start == 9:
+                    raise failure
+
+            return work
+
+        with pytest.raises(RuntimeError) as info:
+            mvdtest.null._run_lanes(self.PREFIX, 30, 3, 1, lane)
+        assert info.value is failure
+        assert started == [0, 3, 6, 9]
+
+    def test_a_failure_on_two_lanes_stops_the_other_lane(self):
+        failure = RuntimeError("chunk failed")
+        started = []
+
+        def lane(stream):
+            def work(start, stop):
+                started.append(start)
+                if start == 2:
+                    raise failure
+                time.sleep(1e-3)  # releases the GIL, so the failing lane drains the queue at once
+
+            return work
+
+        with pytest.raises(RuntimeError) as info:
+            mvdtest.null._run_lanes(self.PREFIX, 200, 1, 2, lane)
+        assert info.value is failure
+        assert 2 in started and len(started) < 50
 
 
 class TestSubsampleLanes:

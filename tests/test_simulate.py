@@ -22,7 +22,7 @@ from mvdtest import (
     type1_power_table,
     variance_table,
 )
-from mvdtest.simulate import _BLOCK_REPS, _variance_se
+from mvdtest.simulate import _variance_se
 
 BAD_CELLS = [
     ("d^-3/4", 2, 3, 32),
@@ -128,6 +128,11 @@ class TestDistributions:
     def test_rejects_empty_draw(self):
         with pytest.raises(ValueError, match="need n >= 1"):
             sample(DistributionSpec.std_normal(1), 0)
+
+    @pytest.mark.parametrize("d", [2.5, True, 0])
+    def test_rejects_a_dimension_that_is_not_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer >= 1, got {d!r}")):
+            DistributionSpec.std_normal(d)
 
 
 class TestVarianceSe:
@@ -267,10 +272,10 @@ class TestVarianceTable:
 
 
 class TestVarianceTableThreads:
-    """The exact replications run in blocks on a thread pool; rows must not depend on it."""
+    """The exact replications run on one lane per CPU; rows must not depend on it."""
 
     CELLS = [("d^-3/4", 2, 16, 12), ("d^-1", 3, 12, 16)]
-    REPS = 2 * _BLOCK_REPS + 7  # two full blocks and a short one
+    REPS = 107
 
     def _run(self, workers, monkeypatch):
         monkeypatch.setattr(mvdtest.simulate, "_worker_count", lambda: workers)
@@ -315,7 +320,7 @@ class TestVarianceTableThreads:
         real_gram = mvdtest.simulate.gram
 
         def failing_gram(x, y, spec, *, out=None):
-            if next(calls) == 3 * _BLOCK_REPS + 2:  # a replication of the second block
+            if next(calls) == 152:  # the second of rep 50's three Gram blocks
                 raise failure
             return real_gram(x, y, spec, out=out)
 
@@ -323,6 +328,8 @@ class TestVarianceTableThreads:
         with pytest.raises(RuntimeError) as info:
             self._run(workers, monkeypatch)
         assert info.value is failure
+        if workers == 1:  # no rep after the failing one starts
+            assert next(calls) == 153
 
 
 class TestTypeOnePowerTable:
