@@ -15,17 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrepancy import _POWER
-from .kernels import _rescale
-
-
-def _check_sigma(sigma):
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+from .kernels import _check_sigma, _is_integer, _rescale
 
 
 def _check_dim(d):
     """Refuse a dimension d that is not an integer >= 1."""
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+    if not _is_integer(d) or d < 1:
         raise ValueError(f"d must be an integer >= 1, got {d!r}")
 
 

@@ -27,6 +27,27 @@ def as_sample(values, name="sample"):
     return np.ascontiguousarray(x)
 
 
+def _is_integer(value):
+    """True for a Python or numpy integer; False for a bool, a float and anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integer(value, name):
+    """value as a Python int, so sizes never wrap in numpy arithmetic; refuse a non-integer loudly.
+
+    int() would truncate 20.9 to 20 and run on silently.
+    """
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_sigma(sigma):
+    """Refuse a bandwidth that is not a positive finite real."""
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A positive-definite kernel: k'(x, y) = e^C * exp(-sigma * ||x - y||^2).
@@ -43,8 +64,7 @@ class KernelSpec:
     log_scale: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma!r}")
+        _check_sigma(self.sigma)
         if not np.isfinite(self.log_scale):
             raise ValueError(f"log_scale must be finite, got {self.log_scale!r}")
 

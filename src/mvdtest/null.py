@@ -22,7 +22,7 @@ import numpy as np
 
 from .discrepancy import (KINDS, _POWER, _block_terms, _check_kind, _check_kinds, _combine_terms,
                           _h_matrix, _raw_statistics, _shift)
-from .kernels import _center, _rescale, as_sample, center_gram, gram
+from .kernels import _center, _check_integer, _rescale, as_sample, center_gram, gram
 
 # Variance-inflation defaults keyed by the subsample fraction k/n.  These are
 # through-origin regression slopes of exact against subsampled variances,
@@ -65,11 +65,10 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 def _check_seed(seed):
     """seed as a Python int; the RNG streams [seed, ...] need a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    seed = _check_integer(seed, "seed")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return int(seed)
+    return seed
 
 
 def _pcg64_states(prefix, indices):
@@ -181,11 +180,7 @@ class SubsamplingPlan:
 
     def __post_init__(self):
         for name in ("n1", "k", "l", "iterations", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            # Stored as a Python int, so sizes and scales never wrap in numpy arithmetic.
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
         if self.k < 2 or self.l < 2:
             raise ValueError(f"subsample sizes must be >= 2, got k={self.k}, l={self.l}")
         if self.k > self.n1:
@@ -297,7 +292,7 @@ def sample_weighted_chisq(w, rho, j, seed=0):
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho!r}")
-    j = int(j)
+    j = _check_integer(j, "j")
     if j < 1:
         raise ValueError(f"need at least one draw, got j={j}")
     return _weighted_chisq_draws([np.asarray(w.lambdas, dtype=float)], rho, j, seed)[0]
@@ -361,7 +356,7 @@ def subsample_variance(x, spec, kind, plan, m):
     """
     _check_kind(kind)
     x = as_sample(x, "x")
-    m = int(m)
+    m = _check_integer(m, "m")
     if m < 2:
         raise ValueError(f"companion sample size must be >= 2, got m={m}")
     plan.validate(x.shape[0])
@@ -541,6 +536,7 @@ def fit_wprime(w, rho, v_sub, tau, draws_j=10000):
     if v_sub < 0.0:
         raise ValueError(f"v_sub must be >= 0, got {v_sub!r}")
     _check_tau(tau)
+    draws_j = _check_integer(draws_j, "draws_j")
     mu_s, v_s = _law_moments(w, rho)
     if v_s == 0.0:
         if v_sub > 0.0:
@@ -549,7 +545,7 @@ def fit_wprime(w, rho, v_sub, tau, draws_j=10000):
     else:
         xi = math.sqrt((1.0 + tau) * v_sub / v_s)
         c = (1.0 - xi) * mu_s
-    return NullApprox(weights=w, rho=rho, tau=float(tau), v_sub=float(v_sub), xi=xi, c=c, draws_j=int(draws_j))
+    return NullApprox(weights=w, rho=rho, tau=float(tau), v_sub=float(v_sub), xi=xi, c=c, draws_j=draws_j)
 
 
 def _check_tau(tau):
@@ -675,7 +671,7 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
         _check_kind(key)
         if value is not None:
             _check_tau(float(value))
-    draws = int(draws)
+    draws = _check_integer(draws, "draws")
     _check_level(alpha, draws, "draws")
     seed = _check_seed(seed)
     x = as_sample(x, "x")

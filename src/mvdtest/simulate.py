@@ -1,5 +1,8 @@
 """Monte Carlo harness: samplers, variance tables, slope calibration, power tables.
 
+The samplers draw only the laws the tables use: X ~ N(0, I_d), and Y from the
+same law, a uniform law or a centered exponential law (see DistributionSpec).
+
 Every experiment is deterministic given its seed: replication r of cell c in
 scenario s derives its RNG streams from the integer key (seed, c, s, r, ...),
 so results do not depend on evaluation order and rerunning a configuration
@@ -15,7 +18,7 @@ import numpy as np
 
 from .closed_form import _check_dim
 from .discrepancy import _check_kinds, _raw_statistics
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, _check_integer, _check_sigma, _is_integer, gram
 from .null import SubsamplingPlan, _check_seed, _run_lanes, _subsample_variance, _worker_count, run_tests
 
 # Named bandwidth presets: sigma = d ** -exponent.
@@ -25,7 +28,7 @@ SIGMA_RULES = {"d^-3/4": 0.75, "d^-7/8": 0.875, "d^-1": 1.0, "d^-2": 2.0}
 _COLUMNS = ("table", "sigma_rule", "sigma", "d", "n", "m", "kind", "estimate",
             "scenario", "divisor", "k", "l", "reps", "value", "se")
 
-_FAMILIES = ("std_normal", "uniform_unit", "centered_exponential", "gaussian", "local_mixture")
+_FAMILIES = ("std_normal", "uniform_unit", "centered_exponential")
 
 
 def sigma_from_rule(rule, d):
@@ -45,29 +48,21 @@ def sigma_from_rule(rule, d):
             value = float(name)
         except (TypeError, ValueError):
             raise ValueError(f"unknown sigma rule {rule!r}; presets: auto, {', '.join(SIGMA_RULES)}") from None
-    if not (np.isfinite(value) and value > 0):
-        raise ValueError(f"sigma must be a positive finite real, got {rule!r}")
+    _check_sigma(value)
     return value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DistributionSpec:
-    """A sampling distribution for the harness.
+    """A sampling distribution for the harness: dim coordinates drawn i.i.d. from one family.
 
-    The three scalar families draw each coordinate i.i.d.: standard normal,
-    U(-sqrt(3), sqrt(3)), or Exp(1) - 1 (the latter two have mean 0 and
-    variance 1 per coordinate).  "gaussian" is a general N(mean, cov);
-    "local_mixture" draws each row from `base` with probability
-    1 - 1/sqrt(n_plus_m) and from `bump` otherwise.
+    The families are std_normal (N(0, 1)), uniform_unit (U(-sqrt(3), sqrt(3)))
+    and centered_exponential (Exp(1) - 1); each has mean 0 and variance 1 per
+    coordinate.
     """
 
     family: str
     dim: int
-    mean: np.ndarray = None
-    cov: np.ndarray = None
-    base: "DistributionSpec" = None
-    bump: "DistributionSpec" = None
-    n_plus_m: int = None
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -86,50 +81,20 @@ class DistributionSpec:
     def centered_exponential(cls, d):
         return cls(family="centered_exponential", dim=d)
 
-    @classmethod
-    def gaussian(cls, mean, cov):
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.asarray(cov, dtype=float)
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
-        return cls(family="gaussian", dim=mean.size, mean=mean, cov=cov)
-
-    @classmethod
-    def local_mixture(cls, base, bump, n_plus_m):
-        if base.dim != bump.dim:
-            raise ValueError(f"mixture components differ in dimension: {base.dim} vs {bump.dim}")
-        if n_plus_m < 1:
-            raise ValueError(f"n_plus_m must be >= 1, got {n_plus_m}")
-        return cls(family="local_mixture", dim=base.dim, base=base, bump=bump, n_plus_m=int(n_plus_m))
-
 
 def sample(dist, n, seed=0):
     """Draw n i.i.d. rows from a DistributionSpec.  Deterministic given seed."""
-    n = int(n)
+    n = _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1 rows, got {n}")
     rng = np.random.default_rng(seed)
-    return _draw(dist, n, rng)
-
-
-def _draw(dist, n, rng):
-    d = dist.dim
+    shape = (n, dist.dim)
     if dist.family == "std_normal":
-        return rng.standard_normal((n, d))
+        return rng.standard_normal(shape)
     if dist.family == "uniform_unit":
         half = math.sqrt(3.0)
-        return rng.uniform(-half, half, size=(n, d))
-    if dist.family == "centered_exponential":
-        return rng.exponential(1.0, size=(n, d)) - 1.0
-    if dist.family == "gaussian":
-        chol = np.linalg.cholesky(dist.cov)
-        return dist.mean + rng.standard_normal((n, d)) @ chol.T
-    # local_mixture: both component blocks are drawn in full so the stream
-    # layout does not depend on the (random) mixture counts.
-    base = _draw(dist.base, n, rng)
-    bump = _draw(dist.bump, n, rng)
-    take_bump = rng.random(n) < 1.0 / math.sqrt(dist.n_plus_m)
-    return np.where(take_bump[:, None], bump, base)
+        return rng.uniform(-half, half, size=shape)
+    return rng.exponential(1.0, size=shape) - 1.0
 
 
 @dataclass(frozen=True)
@@ -169,14 +134,14 @@ def _check_cells(cells):
     if not cells:
         raise ValueError("need at least one cell")
     for ci, (rule, d, n, m) in enumerate(cells):
-        if not all(isinstance(v, (int, np.integer)) for v in (d, n, m)) or d < 1 or n < 4 or m < 2:
+        if not all(map(_is_integer, (d, n, m))) or d < 1 or n < 4 or m < 2:
             raise ValueError(f"cell {ci} {tuple(cells[ci])}: need integers d >= 1, n >= 4 and m >= 2")
         sigma_from_rule(rule, d)
     return cells
 
 
 def _check_divisor(div):
-    if not isinstance(div, (int, np.integer)) or div < 2:
+    if not _is_integer(div) or div < 2:
         raise ValueError(f"divisor {div!r}: need an integer >= 2 (k = l = n // divisor)")
 
 
@@ -225,7 +190,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     cells = _check_cells(cells)
     kinds = _check_kinds(kinds)
     seed = _check_seed(seed)
-    reps = int(reps)
+    reps = _check_integer(reps, "reps")
     if reps < 2:
         raise ValueError(f"need reps >= 2 for a variance, got {reps}")
     for div in divisors:
@@ -309,7 +274,7 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
     cells = _check_cells(cells)
     kinds = _check_kinds(kinds)
     seed = _check_seed(seed)
-    reps = int(reps)
+    reps = _check_integer(reps, "reps")
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
     _check_divisor(divisor)

@@ -16,6 +16,7 @@ import pytest
 import reference as ref
 import mvdtest.null
 from mvdtest import (
+    DistributionSpec,
     KernelSpec,
     NullApprox,
     SpectralWeights,
@@ -29,9 +30,12 @@ from mvdtest import (
     h_matrix,
     run_test,
     run_tests,
+    sample,
     sample_weighted_chisq,
     spectral_weights,
     subsample_variance,
+    type1_power_table,
+    variance_table,
 )
 from mvdtest.kernels import _rescale, gram_set_from_blocks
 from mvdtest.discrepancy import _POWER, statistic
@@ -975,3 +979,26 @@ class TestRunTests:
         x, y = self._samples()
         with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
             run_tests(x, y, self.SPEC, tau=tau, draws=200)
+
+
+_X = np.random.default_rng(3).standard_normal((20, 2))
+_CELL = ("d^-3/4", 2, 20, 20)
+COUNTS = {
+    "run_tests": ("draws", lambda v: run_tests(_X, _X[:12], KernelSpec(sigma=0.5), draws=v)),
+    "sample_weighted_chisq": ("j", lambda v: sample_weighted_chisq(_unit_weights([1.0, 0.5]), 0.5, v)),
+    "subsample_variance": ("m", lambda v: subsample_variance(_X, KernelSpec(sigma=0.5), "mvd",
+                                                             SubsamplingPlan.for_sample(20), v)),
+    "fit_wprime": ("draws_j", lambda v: fit_wprime(_unit_weights([1.0, 0.5]), 0.5, 1.0, 0.0, draws_j=v)),
+    "sample": ("n", lambda v: sample(DistributionSpec.std_normal(2), v)),
+    "variance_table": ("reps", lambda v: variance_table([_CELL], reps=v)),
+    "type1_power_table": ("reps", lambda v: type1_power_table([_CELL], reps=v)),
+}
+
+
+@pytest.mark.parametrize("bad", [20.9, 20.0, True, "20", None])
+@pytest.mark.parametrize("entry", list(COUNTS))
+def test_counts_refuse_non_integers(entry, bad):
+    # int() would truncate: draws=20.9 would run 20 draws, reps=2.9 two reps.
+    name, call = COUNTS[entry]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+        call(bad)
