@@ -5,8 +5,9 @@ independent oracles in tests and for power analysis.  The public closed forms
 fix the reference distribution P = N(0, I_d) and take Q = N(mean, cov); fully
 general pairs of Gaussians are reachable through the inner-product helpers at
 the bottom of the module.  Each discrepancy is the squared distance between
-two operators, ||P||^2 + ||Q||^2 - 2<P, Q>, and the general closed forms are
-assembled from exactly those helpers.
+two operators, ||P||^2 + ||Q||^2 - 2<P, Q>, and has one closed form,
+assembled from exactly those helpers.  The isotropic functions, for
+Q = N(t * ones, s * I_d), are that form on GaussianSpec.isotropic(t, s, d).
 """
 
 import math
@@ -26,7 +27,7 @@ def _check_dim(d):
 
 @dataclass(frozen=True, eq=False)
 class GaussianSpec:
-    """A d-variate normal N(mean, cov) with symmetric positive-definite cov."""
+    """A d-variate normal N(mean, cov): a finite mean and a finite, symmetric positive-definite cov."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -36,9 +37,13 @@ class GaussianSpec:
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got ndim={mean.ndim}")
         _check_dim(mean.size)
+        if not np.isfinite(mean).all():
+            raise ValueError("mean must be finite")
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean length {mean.size}")
+        if not np.isfinite(cov).all():
+            raise ValueError("cov must be finite")
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
             raise ValueError("cov is not symmetric")
         if np.linalg.eigvalsh(cov)[0] <= 0.0:
@@ -77,46 +82,21 @@ def mvd_sq_gaussian(q, sigma, c=0.0):
                         - 2.0 * cov_operator_inner(p, q, sigma), 0.0), c, _POWER["mvd"])
 
 
+def _isotropic(t, s, d):
+    """GaussianSpec.isotropic(t, s, d), refusing a variance scale s that is not > 0 and finite."""
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"variance scale s must be > 0 and finite, got {s!r}")
+    return GaussianSpec.isotropic(t, s, d)
+
+
 def mmd_sq_isotropic(t, s, d, sigma, c=0.0):
-    """mmd_sq_gaussian specialized to q = N(t * ones, s * I_d), in closed form."""
-    _check_sigma(sigma)
-    _check_dim(d)
-    if s <= 0:
-        raise ValueError(f"variance scale s must be > 0, got {s!r}")
-    g = sigma
-    cross_den = 1.0 + 2.0 * g + 2.0 * g * s
-    value = (
-        (1.0 + 4.0 * g) ** (-d / 2.0)
-        + (1.0 + 4.0 * g * s) ** (-d / 2.0)
-        - 2.0 * cross_den ** (-d / 2.0) * math.exp(-g * t**2 * d / cross_den)
-    )
-    return _rescale(max(value, 0.0), c, _POWER["mmd"])
+    """mmd_sq_gaussian on q = N(t * ones, s * I_d)."""
+    return mmd_sq_gaussian(_isotropic(t, s, d), sigma, c)
 
 
 def mvd_sq_isotropic(t, s, d, sigma, c=0.0):
-    """mvd_sq_gaussian specialized to q = N(t * ones, s * I_d), in closed form."""
-    _check_sigma(sigma)
-    _check_dim(d)
-    if s <= 0:
-        raise ValueError(f"variance scale s must be > 0, got {s!r}")
-    g = sigma
-    den1 = 1.0 + 4.0 * g + 4.0 * g * s
-    den2 = 1.0 + 2.0 * g + 4.0 * g * s
-    den3 = 1.0 + 4.0 * g + 2.0 * g * s
-    den4 = 1.0 + 2.0 * g + 2.0 * g * s
-    value = (
-        (1.0 + 8.0 * g) ** (-d / 2.0)
-        - 2.0 * (1.0 + 8.0 * g + 12.0 * g**2) ** (-d / 2.0)
-        + (1.0 + 4.0 * g) ** (-d)
-        + (1.0 + 8.0 * g * s) ** (-d / 2.0)
-        - 2.0 * (1.0 + 8.0 * g * s + 12.0 * g**2 * s**2) ** (-d / 2.0)
-        + (1.0 + 4.0 * g * s) ** (-d)
-        - 2.0 * den1 ** (-d / 2.0) * math.exp(-2.0 * g * t**2 * d / den1)
-        + 2.0 * ((1.0 + 2.0 * g) * den2) ** (-d / 2.0) * math.exp(-2.0 * g * t**2 * d / den2)
-        + 2.0 * ((1.0 + 2.0 * g * s) * den3) ** (-d / 2.0) * math.exp(-2.0 * g * t**2 * d / den3)
-        - 2.0 * den4 ** (-d) * math.exp(-2.0 * g * t**2 * d / den4)
-    )
-    return _rescale(max(value, 0.0), c, _POWER["mvd"])
+    """mvd_sq_gaussian on q = N(t * ones, s * I_d)."""
+    return mvd_sq_gaussian(_isotropic(t, s, d), sigma, c)
 
 
 def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):
@@ -135,7 +115,8 @@ def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):
     i = 0
     for t in t_grid:
         for s in s_grid:
-            rows[i] = (t, s, mmd_sq_isotropic(t, s, d, sigma, c), mvd_sq_isotropic(t, s, d, sigma, c))
+            q = _isotropic(t, s, d)
+            rows[i] = (t, s, mmd_sq_gaussian(q, sigma, c), mvd_sq_gaussian(q, sigma, c))
             i += 1
     return rows
 

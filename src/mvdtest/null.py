@@ -533,8 +533,8 @@ def fit_wprime(w, rho, v_sub, tau, draws_j=10000):
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho!r}")
-    if v_sub < 0.0:
-        raise ValueError(f"v_sub must be >= 0, got {v_sub!r}")
+    if not (math.isfinite(v_sub) and v_sub >= 0.0):
+        raise ValueError(f"v_sub must be >= 0 and finite, got {v_sub!r}")
     _check_tau(tau)
     draws_j = _check_integer(draws_j, "draws_j")
     mu_s, v_s = _law_moments(w, rho)
@@ -644,7 +644,8 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     applied to every kind, or a mapping {kind: tau} (missing kinds use the
     table).  plan defaults to SubsamplingPlan.for_sample(n, seed=seed).  The
     chi-square draws use the RNG stream (seed, 1), disjoint from the
-    subsampling streams (seed, 0, i).
+    subsampling streams (plan.seed, 0, i).  The default plan's seed is seed;
+    an explicit plan subsamples from its own seed field.
 
     Every step runs at C = 0 and only the report's magnitudes carry C =
     spec.log_scale (see TestReport).  A scaled magnitude that overflows, or a

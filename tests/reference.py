@@ -6,6 +6,7 @@ summations, nested numerical quadrature -- so that agreement with the library
 is evidence, not tautology. None of these functions import mvdtest.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -206,3 +207,39 @@ def mmd_sq_by_sampling(mu, var, sigma, pairs=10**6, seed=20260819):
         (kxx.var(ddof=1) + kyy.var(ddof=1) + 4.0 * kxy.var(ddof=1)) / pairs
     )
     return est, se
+
+
+def isotropic_sq_by_decimal(t, s, d, sigma):
+    """(mvd_sq, mmd_sq) between N(0, I_d) and N(t * 1, s * I_d) in 50-digit decimal arithmetic.
+
+    Evaluates the hand-expanded isotropic formulas (ten terms for mvd, three
+    for mmd) from the exact binary values of the float inputs.  The terms are
+    of order one, so the cancellation near P = Q that costs float64 six or
+    seven digits still leaves about forty here.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        one = decimal.Decimal(1)
+        t, s, g = decimal.Decimal(t), decimal.Decimal(s), decimal.Decimal(sigma)
+        half = decimal.Decimal(-d) / 2
+
+        def shifted(den, rate):
+            # den^(-d/2) * exp(-rate * g * t^2 * d / den)
+            return den**half * (-rate * g * t * t * d / den).exp()
+
+        den1 = one + 4 * g + 4 * g * s
+        den2 = one + 2 * g + 4 * g * s
+        den3 = one + 4 * g + 2 * g * s
+        den4 = one + 2 * g + 2 * g * s
+        mvd = ((one + 8 * g) ** half
+               - 2 * (one + 8 * g + 12 * g * g) ** half
+               + (one + 4 * g) ** -d
+               + (one + 8 * g * s) ** half
+               - 2 * (one + 8 * g * s + 12 * g * g * s * s) ** half
+               + (one + 4 * g * s) ** -d
+               - 2 * shifted(den1, 2)
+               + 2 * (one + 2 * g) ** half * shifted(den2, 2)
+               + 2 * (one + 2 * g * s) ** half * shifted(den3, 2)
+               - 2 * den4**half * shifted(den4, 2))
+        mmd = (one + 4 * g) ** half + (one + 4 * g * s) ** half - 2 * shifted(den4, 1)
+        return float(mvd), float(mmd)

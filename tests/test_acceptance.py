@@ -1,10 +1,11 @@
 """End-to-end correctness gates with pinned tolerances.
 
 Each test here checks one externally meaningful guarantee of the package:
-agreement with brute-force oracles, closed-form consistency, convergence of
-the estimator to its population value, spectrum integrity, Monte Carlo
-reference bands for the null variance and test power, scale equivariance,
-and the moment contract of the corrected null law.
+agreement with brute-force oracles, closed-form consistency and accuracy
+against a high-precision oracle, convergence of the estimator to its
+population value, spectrum integrity, Monte Carlo reference bands for the
+null variance and test power, scale equivariance, and the moment contract of
+the corrected null law.
 """
 
 import dataclasses
@@ -57,9 +58,9 @@ def test_statistics_match_brute_force_expansion():
 
 
 def test_general_and_isotropic_closed_forms_agree():
-    """The general Gaussian formulas restricted to t*1, s*I match the
-    isotropic expressions to 1e-12 across a (t, s, d, sigma) grid, and both
-    vanish when the two distributions coincide."""
+    """The isotropic functions give the general Gaussian forms of
+    GaussianSpec.isotropic(t, s, d) to 1e-12 across a (t, s, d, sigma) grid,
+    and both vanish when the two distributions coincide."""
     start = time.time()
     for t in (0.0, 0.5, 1.0):
         for s in (0.5, 1.0, 2.0):
@@ -78,6 +79,23 @@ def test_general_and_isotropic_closed_forms_agree():
                         assert mmd_sq_isotropic(t, s, d, sigma) < 1e-13
                         assert mmd_sq_gaussian(q, sigma) < 1e-13
     assert time.time() - start < 1.0
+
+
+def test_closed_forms_match_decimal_oracle():
+    """Away from P = Q, on the same (t, s, d, sigma) grid, both closed forms
+    are within 1e-12 relative of the isotropic formulas evaluated at 50
+    decimal digits, an oracle that shares no code with the library."""
+    for t in (0.0, 0.5, 1.0):
+        for s in (0.5, 1.0, 2.0):
+            for d in (1, 5, 10):
+                for sigma in (0.05, 0.1):
+                    if t == 0.0 and s == 1.0:
+                        continue
+                    want_mvd, want_mmd = ref.isotropic_sq_by_decimal(t, s, d, sigma)
+                    np.testing.assert_allclose(mvd_sq_isotropic(t, s, d, sigma), want_mvd,
+                                               rtol=1e-12, atol=0.0)
+                    np.testing.assert_allclose(mmd_sq_isotropic(t, s, d, sigma), want_mmd,
+                                               rtol=1e-12, atol=0.0)
 
 
 def test_estimator_mean_approaches_closed_form():

@@ -379,6 +379,16 @@ class TestClosedFormCommand:
         assert code == 1
         assert "variance scale" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("argv,error", [
+        (["closed-form", "--t", "inf"], "mean must be finite"),
+        (["closed-form", "--s", "nan"], "variance scale s must be > 0 and finite, got nan"),
+    ])
+    def test_non_finite_parameter_is_json_error(self, capsys, argv, error):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == error
+
     @pytest.mark.parametrize("argv", [
         ["closed-form", "--log-scale", "400", "--d", "2"],
         ["curves", "--log-scale", "800"],

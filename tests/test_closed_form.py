@@ -65,6 +65,16 @@ class TestGaussianSpec:
         with pytest.raises(ValueError, match="not positive definite"):
             GaussianSpec(np.zeros(2), np.diag([1.0, -0.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_mean(self, bad):
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GaussianSpec([0.0, bad], np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_cov(self, bad):
+        with pytest.raises(ValueError, match="cov must be finite"):
+            GaussianSpec(np.zeros(2), bad * np.ones((2, 2)))
+
     def test_rejects_matrix_mean(self):
         with pytest.raises(ValueError, match="mean must be a vector"):
             GaussianSpec(np.zeros((2, 2)), np.eye(2))
@@ -202,6 +212,17 @@ class TestIsotropicSpecialization:
             mvd_sq_isotropic(0.5, 0.0, 3, 0.1)
         with pytest.raises(ValueError, match="variance scale"):
             mmd_sq_isotropic(0.5, -1.0, 3, 0.1)
+
+    @pytest.mark.parametrize("t, s, message", [
+        (math.inf, 1.0, "mean must be finite"),
+        (math.nan, 1.0, "mean must be finite"),
+        (0.5, math.nan, "variance scale s must be > 0 and finite, got nan"),
+        (0.5, math.inf, "variance scale s must be > 0 and finite, got inf"),
+    ])
+    def test_rejects_non_finite_parameters(self, t, s, message):
+        for func in (mvd_sq_isotropic, mmd_sq_isotropic):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                func(t, s, 3, 0.1)
 
     @pytest.mark.parametrize("d", [0, -3, 2.5, 5.0, True, None])
     def test_rejects_a_bad_dimension(self, d):

@@ -648,6 +648,11 @@ class TestFitWprime:
         with pytest.raises(ValueError, match="v_sub must be >= 0"):
             fit_wprime(_unit_weights([1.0]), 0.5, -1.0, 0.0)
 
+    @pytest.mark.parametrize("v_sub", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_v_sub(self, v_sub):
+        with pytest.raises(ValueError, match=re.escape(f"v_sub must be >= 0 and finite, got {v_sub!r}")):
+            fit_wprime(_unit_weights([1.0]), 0.5, v_sub, 0.0)
+
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError, match="tau must be >= 0"):
             fit_wprime(_unit_weights([1.0]), 0.5, 1.0, -0.1)
