@@ -98,14 +98,23 @@ def _csv_cell(value):
     return str(value)
 
 
+def _names(text):
+    """An argparse type: the non-blank comma-separated names in text, stripped."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
 def _kinds(kind):
     return ("mvd", "mmd") if kind == "both" else (kind,)
 
 
-def _add_kernel_args(parser, default_sigma="auto"):
-    parser.add_argument("--sigma", default=default_sigma,
+def _add_sigma_arg(parser):
+    parser.add_argument("--sigma", default="auto",
                         help="bandwidth: a number or a rule (auto, d^-3/4, d^-7/8, d^-1, d^-2); "
                              "auto means d^-3/4 (default: %(default)s)")
+
+
+def _add_kernel_args(parser):
+    _add_sigma_arg(parser)
     parser.add_argument("--log-scale", type=float, default=0.0, metavar="C",
                         help="kernel scale exponent C in k' = e^C k (default: 0)")
 
@@ -165,26 +174,33 @@ def build_parser():
     p_curves.add_argument("--out", default=None, help="write the CSV here instead of stdout")
     p_curves.set_defaults(func=cmd_curves)
 
+    # The tables run at C = 0, so simulate takes no --log-scale.  Table
+    # options default to None: the library owns the defaults, and a table
+    # refuses the other table's options (see cmd_simulate).
     p_sim = sub.add_parser("simulate", help="Monte Carlo variance or power table for one cell")
     p_sim.add_argument("--table", choices=("variance", "power"), required=True)
-    _add_kernel_args(p_sim)
+    _add_sigma_arg(p_sim)
     p_sim.add_argument("--d", type=int, default=5, help="dimension (default: 5)")
     p_sim.add_argument("--n", type=int, default=200, help="first sample size (default: 200)")
     p_sim.add_argument("--m", type=int, default=200, help="second sample size (default: 200)")
     p_sim.add_argument("--kind", choices=("mvd", "mmd", "both"), default="both")
     p_sim.add_argument("--reps", type=int, default=None,
                        help="replications (default: 2000 for variance, 500 for power)")
-    p_sim.add_argument("--divisors", type=_list_of(int, "integers"), default=[4, 6, 8], metavar="D1,D2,...",
-                       help="variance table: subsample divisors, k = l = n//D (default: 4,6,8)")
-    p_sim.add_argument("--divisor", type=int, default=8,
-                       help="power table: subsample divisor (default: 8)")
-    p_sim.add_argument("--alternatives", default="uniform,exponential",
-                       help="power table: comma list from {uniform, exponential}")
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--draws", type=int, default=10000, metavar="J")
-    p_sim.add_argument("--subsample-iters", type=int, default=1000, metavar="I")
+    p_sim.add_argument("--divisors", type=_list_of(int, "integers"), default=None, metavar="D1,D2,...",
+                       help="variance table only: subsample divisors, k = l = n//D (default: 4,6,8)")
+    p_sim.add_argument("--divisor", type=int, default=None,
+                       help="power table only: subsample divisor (default: 8)")
+    p_sim.add_argument("--alternatives", type=_names, default=None,
+                       help="power table only: comma list from {uniform, exponential} "
+                            "(default: uniform,exponential)")
+    p_sim.add_argument("--alpha", type=float, default=None,
+                       help="power table only: significance level (default: 0.05)")
+    p_sim.add_argument("--draws", type=int, default=None, metavar="J",
+                       help="power table only: Monte Carlo draws per test (default: 10000)")
+    p_sim.add_argument("--subsample-iters", type=int, default=None, metavar="I",
+                       help="subsampling iterations (default: 1000)")
     p_sim.add_argument("--tau", type=float, default=None,
-                       help="variance inflation override (default: built-in table)")
+                       help="power table only: variance inflation override (default: built-in table)")
     _add_seed_arg(p_sim)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -244,7 +260,7 @@ def cmd_test(args):
     d = x.shape[1]
     sigma = sigma_from_rule(args.sigma, d)
     spec = KernelSpec(sigma=sigma, log_scale=args.log_scale)
-    plan = SubsamplingPlan.for_sample(x.shape[0], iterations=args.subsample_iters, seed=seed)
+    plan = SubsamplingPlan.for_sample(x.shape[0], iterations=args.subsample_iters)
     overrides = {name: getattr(args, name) for name in ("n1", "k", "l") if getattr(args, name) is not None}
     plan = dataclasses.replace(plan, **overrides)
     reports = run_tests(x, y, spec, kinds=_kinds(args.kind), plan=plan, tau=args.tau,
@@ -276,24 +292,26 @@ def _result_csv(result):
     return "\n".join(lines) + "\n"
 
 
+# Each table with the options it takes: simulate's argument name -> the table's parameter.
+_SIMULATE_TABLES = {
+    "variance": (variance_table, {"reps": "reps", "divisors": "divisors", "subsample_iters": "iterations"}),
+    "power": (type1_power_table, {"reps": "reps", "divisor": "divisor", "alternatives": "alternatives",
+                                  "alpha": "alpha", "draws": "draws", "subsample_iters": "iterations",
+                                  "tau": "tau"}),
+}
+_SIMULATE_OPTIONS = dict.fromkeys(dest for _, options in _SIMULATE_TABLES.values() for dest in options)
+
+
 def cmd_simulate(args):
     seed = _seed(args)
-    cell = (args.sigma, args.d, args.n, args.m)
-    kinds = _kinds(args.kind)
-    if args.table == "variance":
-        result = variance_table(
-            [cell], kinds=kinds,
-            reps=args.reps if args.reps is not None else 2000,
-            divisors=args.divisors, iterations=args.subsample_iters, seed=seed,
-        )
-    else:
-        alternatives = tuple(a.strip() for a in args.alternatives.split(",") if a.strip())
-        result = type1_power_table(
-            [cell], alternatives=alternatives, kinds=kinds, alpha=args.alpha,
-            reps=args.reps if args.reps is not None else 500,
-            divisor=args.divisor, iterations=args.subsample_iters,
-            draws=args.draws, tau=args.tau, seed=seed,
-        )
+    table, options = _SIMULATE_TABLES[args.table]
+    given = {dest: getattr(args, dest) for dest in _SIMULATE_OPTIONS if getattr(args, dest) is not None}
+    stray = [dest for dest in given if dest not in options]
+    if stray:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in stray)
+        raise ValueError(f"--table {args.table} does not take {flags}")
+    result = table([(args.sigma, args.d, args.n, args.m)], kinds=_kinds(args.kind), seed=seed,
+                   **{options[dest]: value for dest, value in given.items()})
     if args.format == "json":
         text = json.dumps({"version": __version__, "config": result.config, "rows": list(result.rows)}, indent=2) + "\n"
     else:

@@ -65,7 +65,9 @@ class GaussianSpec:
     def isotropic(cls, t, s, d):
         """N(t * ones, s * I_d)."""
         _check_dim(d)
-        return cls(np.full(d, float(t)), float(s) * np.eye(d))
+        # np.diag, not s * np.eye(d): an infinite s times the zeros off the
+        # diagonal would warn about inf * 0 before the finite-cov check refuses it.
+        return cls(np.full(d, float(t)), np.diag(np.full(d, float(s))))
 
 
 def mmd_sq_gaussian(q, sigma, c=0.0):

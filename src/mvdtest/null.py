@@ -167,19 +167,19 @@ class SubsamplingPlan:
 
     Rows [0, n1) and [n1, n) form two disjoint pools.  Every iteration draws
     k rows from the first pool and l from the second, both without
-    replacement, and treats them as a fresh two-sample problem.  Iteration i
-    uses the RNG stream default_rng([seed, 0, i]), so results are independent
-    of evaluation order; seed must be a non-negative integer.
+    replacement, and treats them as a fresh two-sample problem.  The plan
+    holds no seed: iteration i draws from the stream default_rng([seed, 0, i])
+    of the seed the caller passes (run_tests' seed, subsample_variance's), so
+    results are independent of evaluation order.
     """
 
     n1: int
     k: int
     l: int
     iterations: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
-        for name in ("n1", "k", "l", "iterations", "seed"):
+        for name in ("n1", "k", "l", "iterations"):
             object.__setattr__(self, name, _check_integer(getattr(self, name), name))
         if self.k < 2 or self.l < 2:
             raise ValueError(f"subsample sizes must be >= 2, got k={self.k}, l={self.l}")
@@ -187,7 +187,6 @@ class SubsamplingPlan:
             raise ValueError(f"k={self.k} exceeds the first pool (n1={self.n1})")
         if self.iterations < 2:
             raise ValueError(f"need at least 2 iterations, got {self.iterations}")
-        _check_seed(self.seed)
 
     def validate(self, n):
         """Check the plan is feasible for a sample with n rows."""
@@ -197,12 +196,12 @@ class SubsamplingPlan:
             raise ValueError(f"l={self.l} exceeds the second pool (n - n1 = {n - self.n1})")
 
     @classmethod
-    def for_sample(cls, n, divisor=8, iterations=1000, seed=0):
+    def for_sample(cls, n, divisor=8, iterations=1000):
         """Default plan for n >= 4 rows: split at n//2, subsample sizes max(2, n//divisor)."""
         if n < 4:
             raise ValueError(f"x needs at least 4 rows for the default subsampling plan, got {n}")
         size = max(2, n // divisor)
-        return cls(n1=n // 2, k=size, l=size, iterations=iterations, seed=seed)
+        return cls(n1=n // 2, k=size, l=size, iterations=iterations)
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,7 @@ def _weighted_chisq_draws(lams, rho, j, seed):
     return outs
 
 
-def subsample_variance(x, spec, kind, plan, m):
+def subsample_variance(x, spec, kind, plan, m, seed=0):
     """Subsampling estimate of Var[(n + m) * statistic] under the null.
 
     Each iteration treats k rows from the first pool and l from the second as
@@ -334,14 +333,16 @@ def subsample_variance(x, spec, kind, plan, m):
     companion sample the test will be run against.
 
     It is computed at C = 0 and scaled by e^(2pC), C = spec.log_scale and p = 2
-    for mvd, 1 for mmd; an overflow raises a ValueError that names log_scale.
+    for mvd, 1 for mmd; a scaled value that overflows, or a positive one that
+    underflows to 0, raises a ValueError that names log_scale.
     The full Gram matrix of x is computed once and subsample Gram blocks are
     taken as submatrices, which gives identical values to rebuilding them
     from the raw rows.  Iteration i draws its rows from the stream
-    default_rng([plan.seed, 0, i]), so the rows it uses do not depend on
-    evaluation order.  All streams are seeded in one vectorized pass; stream 0
-    is checked against default_rng on every call, and a mismatch (a numpy
-    that seeds differently) raises RuntimeError.
+    default_rng([seed, 0, i]), seed a non-negative integer, so the rows it
+    uses do not depend on evaluation order; these are the streams of a test
+    run with the same seed.  All streams are seeded in one vectorized pass;
+    stream 0 is checked against default_rng on every call, and a mismatch (a
+    numpy that seeds differently) raises RuntimeError.
     The iterations are evaluated in chunks: one gather per block type copies
     a chunk's blocks into stacked (b, k, k), (b, l, l) and (b, k, l) arrays,
     and one vectorized pass reduces them to b statistics.  A chunk holds at
@@ -359,9 +360,24 @@ def subsample_variance(x, spec, kind, plan, m):
     m = _check_integer(m, "m")
     if m < 2:
         raise ValueError(f"companion sample size must be >= 2, got m={m}")
+    seed = _check_seed(seed)
     plan.validate(x.shape[0])
-    v_sub = _subsample_variance(gram(x, x, dataclasses.replace(spec, log_scale=0.0)), (kind,), plan, m)[0]
-    return _rescale(v_sub, spec.log_scale, 2.0 * _POWER[kind])
+    v_sub = _subsample_variance(gram(x, x, dataclasses.replace(spec, log_scale=0.0)), (kind,), plan, m, seed)[0]
+    return _scale_v_sub(v_sub, spec.log_scale, kind)
+
+
+def _scale_v_sub(v_sub, log_scale, kind):
+    """A v_sub computed at C = 0 scaled by e^(2pC), refusing a positive one that underflows to 0.
+
+    A v_sub of 0 next to the xi fitted from the positive one would break
+    xi^2 = (1 + tau) v_sub / V_S, so it is refused like any other scaled
+    magnitude that leaves float64, with a ValueError that names log_scale.
+    """
+    scaled = _rescale(v_sub, log_scale, 2.0 * _POWER[kind])
+    if scaled == 0.0 < v_sub:
+        raise ValueError(f"log_scale={log_scale!r} is too small: the scaled {kind} v_sub underflowed "
+                         "float64 to 0; raise KernelSpec.log_scale")
+    return scaled
 
 
 def _worker_count():
@@ -424,7 +440,7 @@ def _run_lanes(prefix, count, chunk, workers, lane):
                 future.result()
 
 
-def _subsample_variance(k_full, kinds, plan, m):
+def _subsample_variance(k_full, kinds, plan, m, seed):
     """subsample_variance of each kind in kinds, from the n x n Gram block of x.
 
     All kinds share each chunk's index sets and gathered blocks.  The chunks
@@ -473,7 +489,7 @@ def _subsample_variance(k_full, kinds, plan, m):
         return work
 
     workers = _worker_count() if per_iteration >= _LANE_SCALARS else 1
-    _run_lanes((plan.seed, 0), plan.iterations, chunk, workers, lane)
+    _run_lanes((seed, 0), plan.iterations, chunk, workers, lane)
     scale = ((n + m) ** 4 / (n**2 * m**2)) * ((k * l) ** 2 / (k + l) ** 4)
     return tuple(float(((k + l) * np.maximum(raw[kind], 0.0)).var(ddof=1) * scale) for kind in kinds)
 
@@ -484,8 +500,7 @@ class NullApprox:
 
     S is the weighted chi-square law defined by weights and rho; xi and c are
     chosen so W' keeps the spectrum's mean while its variance becomes
-    (1 + tau) * v_sub.  draws_j is the Monte Carlo sample count used when a
-    critical value is requested.
+    (1 + tau) * v_sub.  The law holds no draw count: critical_value takes it.
     """
 
     weights: SpectralWeights
@@ -494,7 +509,6 @@ class NullApprox:
     v_sub: float
     xi: float
     c: float
-    draws_j: int = 10000
 
     @property
     def uncorrected_mean(self):
@@ -524,19 +538,19 @@ def _law_moments(w, rho):
     return w.trace / denom, 2.0 * float(lam @ lam) / denom**2
 
 
-def fit_wprime(w, rho, v_sub, tau, draws_j=10000):
+def fit_wprime(w, rho, v_sub, tau):
     """Fit the affine correction W' = xi * S + c by moment matching.
 
     With mu_S and V_S the mean and variance of the spectrum law S, the two
     conditions  E[W'] = mu_S  and  Var[W'] = (1 + tau) * v_sub  solve in
     closed form to xi = sqrt((1 + tau) v_sub / V_S) and c = (1 - xi) mu_S.
+    The fit draws nothing; critical_value draws from the law it returns.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0, 1), got {rho!r}")
     if not (math.isfinite(v_sub) and v_sub >= 0.0):
         raise ValueError(f"v_sub must be >= 0 and finite, got {v_sub!r}")
     _check_tau(tau)
-    draws_j = _check_integer(draws_j, "draws_j")
     mu_s, v_s = _law_moments(w, rho)
     if v_s == 0.0:
         if v_sub > 0.0:
@@ -545,7 +559,7 @@ def fit_wprime(w, rho, v_sub, tau, draws_j=10000):
     else:
         xi = math.sqrt((1.0 + tau) * v_sub / v_s)
         c = (1.0 - xi) * mu_s
-    return NullApprox(weights=w, rho=rho, tau=float(tau), v_sub=float(v_sub), xi=xi, c=c, draws_j=draws_j)
+    return NullApprox(weights=w, rho=rho, tau=float(tau), v_sub=float(v_sub), xi=xi, c=c)
 
 
 def _check_tau(tau):
@@ -565,24 +579,26 @@ def _quantile(values, alpha):
     return float(np.partition(values, r - 1)[r - 1])
 
 
-def _check_level(alpha, draws, name):
-    """Check alpha is in (0, 1) and that `name`=draws can resolve its quantile."""
+def _check_draws(draws, alpha):
+    """draws as a Python int, checked to resolve the (1 - alpha)-quantile for an alpha in (0, 1)."""
+    draws = _check_integer(draws, "draws")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     if draws < math.ceil(1.0 / alpha):
-        raise ValueError(f"{name}={draws} is too small for alpha={alpha}")
+        raise ValueError(f"draws={draws} is too small for alpha={alpha}")
+    return draws
 
 
-def critical_value(na, alpha, seed=0):
+def critical_value(na, alpha, seed=0, draws=10000):
     """Empirical (1 - alpha)-quantile of the corrected null law W'.
 
-    Draws na.draws_j samples of W' = xi * S + c and returns the value at
-    ascending rank ceil(J (1 - alpha)).  Deterministic given the seed; a test
-    run with seed=s draws from the stream [s, 1], so seed=[s, 1] reproduces
-    its critical value (seed=s does not).
+    Draws `draws` samples of W' = xi * S + c and returns the value at
+    ascending rank ceil(J (1 - alpha)), J = draws.  Deterministic given the
+    seed; a test run with seed=s and draws=J draws from the stream [s, 1], so
+    seed=[s, 1], draws=J reproduces its critical value (seed=s does not).
     """
-    _check_level(alpha, na.draws_j, "draws_j")
-    s = sample_weighted_chisq(na.weights, na.rho, na.draws_j, seed)
+    draws = _check_draws(draws, alpha)
+    s = sample_weighted_chisq(na.weights, na.rho, draws, seed)
     return _quantile(na.xi * s + na.c, alpha)
 
 
@@ -642,15 +658,16 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
 
     tau may be None (the built-in table keyed by (kind, k/n)), a number
     applied to every kind, or a mapping {kind: tau} (missing kinds use the
-    table).  plan defaults to SubsamplingPlan.for_sample(n, seed=seed).  The
-    chi-square draws use the RNG stream (seed, 1), disjoint from the
-    subsampling streams (plan.seed, 0, i).  The default plan's seed is seed;
-    an explicit plan subsamples from its own seed field.
+    table).  plan defaults to SubsamplingPlan.for_sample(n).  seed is the
+    run's one seed: the subsampling draws from the RNG streams (seed, 0, i),
+    whatever the plan, and the chi-square draws from the disjoint stream
+    (seed, 1).
 
     Every step runs at C = 0 and only the report's magnitudes carry C =
-    spec.log_scale (see TestReport).  A scaled magnitude that overflows, or a
-    scaled statistic and critical value that underflow out of the order
-    reject says, raise a ValueError that names log_scale.
+    spec.log_scale (see TestReport).  A scaled magnitude that overflows, a
+    positive v_sub that underflows to 0, or a scaled statistic and critical
+    value that underflow out of the order reject says, raise a ValueError
+    that names log_scale; v_sub is checked before the spectra are taken.
 
     The kinds share the Gram blocks, the subsample index sets and gathers,
     and the normals of the (seed, 1) stream, so each report is exactly the
@@ -672,8 +689,7 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
         _check_kind(key)
         if value is not None:
             _check_tau(float(value))
-    draws = _check_integer(draws, "draws")
-    _check_level(alpha, draws, "draws")
+    draws = _check_draws(draws, alpha)
     seed = _check_seed(seed)
     x = as_sample(x, "x")
     y = as_sample(y, "y")
@@ -681,7 +697,7 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
         raise ValueError(f"samples have different dimensions: {x.shape[1]} vs {y.shape[1]}")
     n, m = x.shape[0], y.shape[0]
     if plan is None:
-        plan = SubsamplingPlan.for_sample(n, seed=seed)
+        plan = SubsamplingPlan.for_sample(n)
     plan.validate(n)
     # Every step runs at C = 0; log_scale scales only the report's magnitudes.
     log_scale = spec.log_scale
@@ -694,7 +710,8 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     t_xy = _block_terms(kinds, k_xy, shift)
     del k_xy
     k_x = gram(x, x, spec)
-    v_subs = _subsample_variance(k_x, kinds, plan, m)
+    v_subs = _subsample_variance(k_x, kinds, plan, m, seed)
+    scaled_v_subs = [_scale_v_sub(v_sub, log_scale, kind) for kind, v_sub in zip(kinds, v_subs)]
     kc_x = center_gram(k_x)  # feeds both spectra, bit for bit as GramSet.kc_x would
     t_x = _block_terms(kinds, k_x, shift)
     del k_x
@@ -720,11 +737,11 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
         kind_tau = taus.get(kind)
         if kind_tau is None:
             kind_tau = default_tau(kind, plan.k / n)
-        fits.append((kind, raws[kind], fit_wprime(w, rho, v_sub, float(kind_tau), draws_j=draws)))
+        fits.append((kind, raws[kind], fit_wprime(w, rho, v_sub, float(kind_tau))))
 
     draws_s = _weighted_chisq_draws([na.weights.lambdas for _, _, na in fits], rho, draws, [seed, 1])
     reports = []
-    for (kind, raw, na), s in zip(fits, draws_s):
+    for (kind, raw, na), s, scaled_v_sub in zip(fits, draws_s, scaled_v_subs):
         stat = (n + m) * max(float(raw), 0.0)
         wprime = na.xi * s + na.c
         crit = _quantile(wprime, alpha)
@@ -747,7 +764,7 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
             reject=reject,
             alpha=float(alpha),
             tau=na.tau,
-            v_sub=_rescale(na.v_sub, log_scale, 2.0 * power),
+            v_sub=scaled_v_sub,
             xi=na.xi,
             c=_rescale(na.c, log_scale, power),
             draws=draws,

@@ -12,7 +12,7 @@ replications on null._run_lanes and still return the rows of a serial run.
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def _variance_se(values):
 
 
 def _derived_seed(*key):
-    """Collapse an integer key tuple into one int seed (for plan seeds)."""
+    """Collapse an integer key tuple into one int seed (for subsampling and test seeds)."""
     return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
 
 
@@ -199,8 +199,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     plans = {}
     for ci, (_, d, n, m) in enumerate(cells):
         for div in divisors:
-            plans[ci, div] = SubsamplingPlan.for_sample(n, divisor=div, iterations=iterations,
-                                                        seed=_derived_seed(seed, ci, 1, div))
+            plans[ci, div] = SubsamplingPlan.for_sample(n, divisor=div, iterations=iterations)
             plans[ci, div].validate(n)
     rows = []
     exact = {}
@@ -217,7 +216,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
         for div in divisors:
             plan = plans[ci, div]
             x = np.random.default_rng([seed, ci, 2, div]).standard_normal((n, d))
-            v_subs = _subsample_variance(gram(x, x, spec), kinds, plan, m)
+            v_subs = _subsample_variance(gram(x, x, spec), kinds, plan, m, _derived_seed(seed, ci, 1, div))
             for kind, v_sub in zip(kinds, v_subs):
                 sub[ci, div, kind] = v_sub
                 rows.append(_row(table="variance", sigma_rule=rule, sigma=sigma, d=d, n=n, m=m, kind=kind,
@@ -293,9 +292,8 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
             for rep in range(reps):
                 x = sample(x_spec, n, seed=[seed, ci, si, rep, 0])
                 y = sample(y_spec, m, seed=[seed, ci, si, rep, 1])
-                test_seed = _derived_seed(seed, ci, si, rep, 2)
-                for report in run_tests(x, y, spec, kinds=kinds, plan=replace(plan, seed=test_seed), tau=tau,
-                                        alpha=alpha, draws=draws, seed=test_seed):
+                for report in run_tests(x, y, spec, kinds=kinds, plan=plan, tau=tau, alpha=alpha, draws=draws,
+                                        seed=_derived_seed(seed, ci, si, rep, 2)):
                     rejected[report.kind] += report.reject
             for kind in kinds:
                 rate = rejected[kind] / reps

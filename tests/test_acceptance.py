@@ -180,16 +180,17 @@ def test_log_scale_equivariance():
     e^delta, and the subsampled variance by e^(4 delta) (covariance) and
     e^(2 delta) (mean).  A test report at any C is the C = 0 report with its
     magnitudes scaled by that one helper: p_value, reject, xi, tau and
-    clipped_count keep their bits, also at C = -300, where v_sub underflows
-    to 0.  At C = -400 an mvd rejection, whose statistic and critical value
-    both underflow to 0, raises instead of reporting reject=False."""
+    clipped_count keep their bits.  Where the scaled v_sub underflows to 0
+    (mvd from C = -300, where e^(4C) does, and mmd at C = -400), the run
+    raises a ValueError that names log_scale instead of reporting v_sub = 0
+    next to the xi fitted from the positive one."""
     start = time.time()
     delta = 0.7
     rng = np.random.default_rng(515)
     x = rng.standard_normal((60, 3))
     y = rng.standard_normal((60, 3)) * 1.2
     y_alt = rng.exponential(size=(60, 3)) - 1.0
-    plan = SubsamplingPlan(n1=30, k=7, l=7, iterations=200, seed=44)
+    plan = SubsamplingPlan(n1=30, k=7, l=7, iterations=200)
     lo_spec = KernelSpec(sigma=0.4, log_scale=0.3)
     hi_spec = KernelSpec(sigma=0.4, log_scale=0.3 + delta)
 
@@ -206,20 +207,23 @@ def test_log_scale_equivariance():
                                rtol=1e-9, atol=1e-12 * w_hi.lambdas.max())
 
     for kind, v_factor in (("mvd", math.exp(4 * delta)), ("mmd", math.exp(2 * delta))):
-        v_lo = subsample_variance(x, lo_spec, kind, plan, 60)
-        v_hi = subsample_variance(x, hi_spec, kind, plan, 60)
+        v_lo = subsample_variance(x, lo_spec, kind, plan, 60, seed=44)
+        v_hi = subsample_variance(x, hi_spec, kind, plan, 60, seed=44)
         np.testing.assert_allclose(v_hi, v_factor * v_lo, rtol=1e-9)
 
     scaled_fields = ("statistic", "critical_value", "critical_value_uncorrected", "c", "weights_trace",
                      "clipped_mass")
+    v_sub_underflows = {("mvd", -300.0), ("mvd", -400.0), ("mmd", -400.0)}
     for y_test, rejects in ((y, False), (y_alt, True)):
         for kind, power in (("mvd", 2.0), ("mmd", 1.0)):
             base = run_test(x, y_test, KernelSpec(sigma=0.4), kind=kind, plan=plan, draws=4000, seed=7)
             assert base.reject == rejects
+            assert base.v_sub > 0.0
             for c in (0.7, 5.0, -300.0, -400.0):
                 spec = KernelSpec(sigma=0.4, log_scale=c)
-                if kind == "mvd" and c == -400.0 and base.reject:
-                    with pytest.raises(ValueError, match="log_scale=-400.0 is too small"):
+                if (kind, c) in v_sub_underflows:
+                    with pytest.raises(ValueError, match=f"^log_scale={c!r} is too small: the scaled {kind} "
+                                                         "v_sub underflowed float64 to 0"):
                         run_test(x, y_test, spec, kind=kind, plan=plan, draws=4000, seed=7)
                     continue
                 r = run_test(x, y_test, spec, kind=kind, plan=plan, draws=4000, seed=7)
@@ -241,10 +245,10 @@ def test_corrected_law_moment_match():
     spec = KernelSpec(sigma=0.33)
     g = build_gram_set(x, y, spec)
     w = spectral_weights(h_matrix(g), 80)
-    plan = SubsamplingPlan(n1=40, k=10, l=10, iterations=400, seed=9)
-    v_sub = subsample_variance(x, spec, "mvd", plan, 80)
+    plan = SubsamplingPlan(n1=40, k=10, l=10, iterations=400)
+    v_sub = subsample_variance(x, spec, "mvd", plan, 80, seed=9)
     tau = 0.30928
-    na = fit_wprime(w, 0.5, v_sub, tau, draws_j=10**6)
+    na = fit_wprime(w, 0.5, v_sub, tau)
 
     s = sample_weighted_chisq(na.weights, na.rho, 10**6, seed=77)
     wprime = na.xi * s + na.c

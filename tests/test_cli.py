@@ -14,8 +14,9 @@ from mvdtest import (
     mvd_mmd_curves,
     mvd_sq_isotropic,
     run_test,
+    type1_power_table,
 )
-from mvdtest.cli import SEED_ENV_VAR, load_csv, main, save_csv
+from mvdtest.cli import SEED_ENV_VAR, _result_csv, load_csv, main, save_csv
 from mvdtest.simulate import _COLUMNS
 
 
@@ -99,7 +100,7 @@ class TestTestCommand:
         ])
         assert code == 0 and err == ""
         payload = json.loads(out)
-        plan = SubsamplingPlan(n1=20, k=5, l=5, iterations=1000, seed=9)
+        plan = SubsamplingPlan(n1=20, k=5, l=5, iterations=1000)
         want = run_test(x, y, KernelSpec(sigma=0.5), kind="mvd", plan=plan,
                         draws=2000, seed=9)
         assert payload["kind"] == "mvd"
@@ -187,7 +188,7 @@ class TestTestCommand:
         assert payload["subsample_iters"] == 200
         assert payload["tau"] == 0.5
         assert payload["C"] == 0.3
-        plan = SubsamplingPlan(n1=24, k=6, l=4, iterations=200, seed=0)
+        plan = SubsamplingPlan(n1=24, k=6, l=4, iterations=200)
         want = run_test(x, y, KernelSpec(sigma=0.5, log_scale=0.3), kind="mvd",
                         plan=plan, tau=0.5, draws=500, seed=0)
         assert payload["statistic"] == want.statistic
@@ -225,7 +226,8 @@ class TestTestCommand:
 
     def test_underflowing_log_scale_is_json_error(self, capsys, tmp_path):
         # mvd rejects at C = 0; at C = -400 its statistic and critical value
-        # both scale by e^(-800), which underflows to 0.
+        # scale by e^(-800) and its v_sub by e^(-1600), all of which underflow
+        # to 0.  The v_sub is refused first.
         rng = np.random.default_rng(271)
         x_path, y_path = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
         save_csv(rng.normal(size=(40, 2)), x_path)
@@ -467,6 +469,46 @@ class TestSimulateCommand:
         code, empty, _ = _run(capsys, self.VARIANCE_ARGS + ["--out", str(out_path)])
         assert code == 0 and empty == ""
         assert out_path.read_text(encoding="utf-8") == stdout
+
+    def test_log_scale_is_not_an_option(self, capsys):
+        # The tables run at C = 0; the flag used to be accepted and ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(self.VARIANCE_ARGS + ["--log-scale", "4"])
+        assert exc.value.code == 2
+        assert "--log-scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,flags", [
+        (["--tau", "-5"], "--tau"),
+        (["--alpha", "7"], "--alpha"),
+        (["--draws", "1"], "--draws"),
+        (["--alternatives", "bogus"], "--alternatives"),
+        (["--divisor", "8"], "--divisor"),
+        (["--tau", "-5", "--alpha", "7", "--draws", "1", "--alternatives", "bogus"],
+         "--alternatives, --alpha, --draws, --tau"),
+    ], ids=["tau", "alpha", "draws", "alternatives", "divisor", "four-at-once"])
+    def test_variance_refuses_power_options(self, capsys, extra, flags):
+        code, out, err = _run(capsys, self.VARIANCE_ARGS + extra)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == f"--table variance does not take {flags}"
+
+    def test_power_refuses_variance_options(self, capsys):
+        code, out, err = _run(capsys, self.POWER_ARGS + ["--divisors", "1,0"])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "--table power does not take --divisors"
+
+    def test_unset_options_take_the_library_defaults(self, capsys):
+        # Only the options given reach the table; the rest keep its defaults.
+        argv = ["simulate", "--table", "power", "--d", "1", "--n", "16", "--m", "16", "--reps", "2",
+                "--subsample-iters", "20", "--sigma", "0.4", "--seed", "2"]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        want = type1_power_table([("0.4", 1, 16, 16)], reps=2, iterations=20, seed=2)
+        assert out == _result_csv(want)
+        config = json.loads(out.split("\n")[0][len("# config "):])
+        assert (config["alpha"], config["divisor"], config["draws"], config["tau"]) == (0.05, 8, 10000, None)
+        assert config["alternatives"] == ["uniform", "exponential"]
 
     def test_infeasible_plan_is_json_error(self, capsys):
         # n = 3 gives a split point of 1, below the minimum subsample size; the

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,17 @@ class TestGaussianSpec:
     def test_rejects_a_non_finite_cov(self, bad):
         with pytest.raises(ValueError, match="cov must be finite"):
             GaussianSpec(np.zeros(2), bad * np.ones((2, 2)))
+
+    @pytest.mark.parametrize("t,s,match", [(0.5, math.inf, "cov must be finite"),
+                                           (0.5, -math.inf, "cov must be finite"),
+                                           (0.5, math.nan, "cov must be finite"),
+                                           (math.inf, 2.0, "mean must be finite")])
+    def test_isotropic_refuses_non_finite_without_warnings(self, t, s, match):
+        # s * np.eye(d) would compute inf * 0 off the diagonal and warn first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                GaussianSpec.isotropic(t, s, 3)
 
     def test_rejects_matrix_mean(self):
         with pytest.raises(ValueError, match="mean must be a vector"):

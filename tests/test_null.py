@@ -43,12 +43,12 @@ from mvdtest.discrepancy import _POWER, statistic
 CHI2_1_Q95 = 3.841458820694124  # 0.95 quantile of chi-square with 1 degree of freedom
 
 
-def _reference_subsample_variance(x, spec, kind, plan, m):
+def _reference_subsample_variance(x, spec, kind, plan, m, seed):
     """subsample_variance as a loop of Gram sets rebuilt from the raw rows."""
     n = x.shape[0]
     vals = np.empty(plan.iterations)
     for i in range(plan.iterations):
-        sub_rng = np.random.default_rng([plan.seed, 0, i])
+        sub_rng = np.random.default_rng([seed, 0, i])
         one = sub_rng.choice(plan.n1, size=plan.k, replace=False)
         two = plan.n1 + sub_rng.choice(n - plan.n1, size=plan.l, replace=False)
         g = build_gram_set(x[one], x[two], spec)
@@ -121,24 +121,26 @@ class TestSubsamplingPlan:
         with pytest.raises(ValueError, match="at least 2 iterations"):
             SubsamplingPlan(n1=10, k=2, l=2, iterations=1)
 
-    @pytest.mark.parametrize("name", ["n1", "k", "l", "iterations", "seed"])
+    @pytest.mark.parametrize("name", ["n1", "k", "l", "iterations"])
     @pytest.mark.parametrize("bad", [2.5, 4.0, True, "4", None])
     def test_rejects_non_integer_fields(self, name, bad):
-        fields = dict(n1=20, k=3, l=3, iterations=10, seed=0)
+        fields = dict(n1=20, k=3, l=3, iterations=10)
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
             SubsamplingPlan(**{**fields, name: bad})
 
     def test_numpy_integers_are_stored_as_ints(self):
         # np.uint8 products would wrap (k * k = 400 > 255) if kept as numpy scalars.
-        plan = SubsamplingPlan(n1=np.int64(20), k=np.uint8(20), l=np.int32(3),
-                               iterations=np.int16(10), seed=np.uint64(7))
-        assert plan == SubsamplingPlan(n1=20, k=20, l=3, iterations=10, seed=7)
-        assert all(type(getattr(plan, name)) is int for name in ("n1", "k", "l", "iterations", "seed"))
+        plan = SubsamplingPlan(n1=np.int64(20), k=np.uint8(20), l=np.int32(3), iterations=np.int16(10))
+        assert plan == SubsamplingPlan(n1=20, k=20, l=3, iterations=10)
+        assert all(type(getattr(plan, name)) is int for name in ("n1", "k", "l", "iterations"))
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-5)])
-    def test_rejects_negative_seed(self, seed):
-        with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
-            SubsamplingPlan(n1=10, k=3, l=3, iterations=10, seed=seed)
+    def test_holds_no_seed(self):
+        # The seed is the caller's: run_tests' or subsample_variance's.
+        assert [f.name for f in dataclasses.fields(SubsamplingPlan)] == ["n1", "k", "l", "iterations"]
+        with pytest.raises(TypeError):
+            SubsamplingPlan(n1=10, k=3, l=3, iterations=10, seed=0)
+        with pytest.raises(TypeError):
+            SubsamplingPlan.for_sample(20, seed=0)
 
     def test_validate_needs_second_pool(self):
         plan = SubsamplingPlan(n1=10, k=2, l=2)
@@ -311,10 +313,10 @@ class TestSubsampleVariance:
         rng = np.random.default_rng(61)
         x = rng.normal(size=(24, 2))
         spec = KernelSpec(sigma=0.5, log_scale=0.1)
-        plan = SubsamplingPlan(n1=12, k=4, l=5, iterations=40, seed=17)
+        plan = SubsamplingPlan(n1=12, k=4, l=5, iterations=40)
         for kind in ("mvd", "mmd"):
-            np.testing.assert_allclose(subsample_variance(x, spec, kind, plan, 20),
-                                       _reference_subsample_variance(x, spec, kind, plan, 20),
+            np.testing.assert_allclose(subsample_variance(x, spec, kind, plan, 20, seed=17),
+                                       _reference_subsample_variance(x, spec, kind, plan, 20, 17),
                                        rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["mvd", "mmd"])
@@ -325,11 +327,11 @@ class TestSubsampleVariance:
         rng = np.random.default_rng(65)
         x = rng.normal(size=(130, 2))
         spec = KernelSpec(sigma=sigma, log_scale=0.5)
-        plan = SubsamplingPlan(n1=70, k=60, l=45, iterations=100, seed=23)
+        plan = SubsamplingPlan(n1=70, k=60, l=45, iterations=100)
         chunk = mvdtest.null._CHUNK_SCALARS // (60 * 60 + 45 * 45 + 60 * 45)
         assert 2 <= plan.iterations // chunk and plan.iterations % chunk != 0
-        np.testing.assert_allclose(subsample_variance(x, spec, kind, plan, 90),
-                                   _reference_subsample_variance(x, spec, kind, plan, 90),
+        np.testing.assert_allclose(subsample_variance(x, spec, kind, plan, 90, seed=23),
+                                   _reference_subsample_variance(x, spec, kind, plan, 90, 23),
                                    rtol=1e-12)
 
     @pytest.mark.parametrize("sigma", [1e-3, 20.0])
@@ -339,39 +341,42 @@ class TestSubsampleVariance:
         rng = np.random.default_rng(66)
         x = rng.normal(size=(130, 2))
         spec = KernelSpec(sigma=sigma, log_scale=0.5)
-        plan = SubsamplingPlan(n1=70, k=60, l=45, iterations=100, seed=29)
-        want = {kind: _reference_subsample_variance(x, spec, kind, plan, 90) for kind in ("mvd", "mmd")}
+        plan = SubsamplingPlan(n1=70, k=60, l=45, iterations=100)
+        want = {kind: _reference_subsample_variance(x, spec, kind, plan, 90, 29) for kind in ("mvd", "mmd")}
         # subsample_variance works at C = 0 and scales by e^(2pC).
         k_x = gram(x, x, KernelSpec(sigma=sigma))
         for kinds in (("mvd", "mmd"), ("mmd", "mvd")):
-            got = mvdtest.null._subsample_variance(k_x, kinds, plan, 90)
+            got = mvdtest.null._subsample_variance(k_x, kinds, plan, 90, 29)
             for kind, value in zip(kinds, got):
                 value = _rescale(value, 0.5, 2.0 * _POWER[kind])
                 np.testing.assert_allclose(value, want[kind], rtol=1e-12)
-                assert value == subsample_variance(x, spec, kind, plan, 90)
+                assert value == subsample_variance(x, spec, kind, plan, 90, seed=29)
 
     def test_deterministic(self):
         rng = np.random.default_rng(62)
         x = rng.normal(size=(20, 2))
-        plan = SubsamplingPlan(n1=10, k=3, l=3, iterations=25, seed=4)
-        a = subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 20)
-        b = subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 20)
+        plan = SubsamplingPlan(n1=10, k=3, l=3, iterations=25)
+        a = subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 20, seed=4)
+        b = subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 20, seed=4)
         assert a == b
+        assert subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 20, seed=5) != a
 
     def test_identical_rows_give_zero(self):
         x = np.ones((16, 2))
-        plan = SubsamplingPlan(n1=8, k=3, l=3, iterations=10, seed=1)
-        assert subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 16) == 0.0
+        plan = SubsamplingPlan(n1=8, k=3, l=3, iterations=10)
+        assert subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 16, seed=1) == 0.0
+        # A v_sub of 0 at C = 0 is no underflow: it stays 0 at any C.
+        assert subsample_variance(x, KernelSpec(sigma=0.5, log_scale=-400.0), "mvd", plan, 16, seed=1) == 0.0
 
     def test_scaling_with_log_scale(self):
         rng = np.random.default_rng(63)
         x = rng.normal(size=(28, 3))
-        plan = SubsamplingPlan(n1=14, k=4, l=4, iterations=30, seed=8)
-        lo_mvd = subsample_variance(x, KernelSpec(sigma=0.4), "mvd", plan, 28)
-        hi_mvd = subsample_variance(x, KernelSpec(sigma=0.4, log_scale=0.5), "mvd", plan, 28)
+        plan = SubsamplingPlan(n1=14, k=4, l=4, iterations=30)
+        lo_mvd = subsample_variance(x, KernelSpec(sigma=0.4), "mvd", plan, 28, seed=8)
+        hi_mvd = subsample_variance(x, KernelSpec(sigma=0.4, log_scale=0.5), "mvd", plan, 28, seed=8)
         np.testing.assert_allclose(hi_mvd, math.exp(2.0) * lo_mvd, rtol=1e-10)
-        lo_mmd = subsample_variance(x, KernelSpec(sigma=0.4), "mmd", plan, 28)
-        hi_mmd = subsample_variance(x, KernelSpec(sigma=0.4, log_scale=0.5), "mmd", plan, 28)
+        lo_mmd = subsample_variance(x, KernelSpec(sigma=0.4), "mmd", plan, 28, seed=8)
+        hi_mmd = subsample_variance(x, KernelSpec(sigma=0.4, log_scale=0.5), "mmd", plan, 28, seed=8)
         np.testing.assert_allclose(hi_mmd, math.exp(1.0) * lo_mmd, rtol=1e-10)
 
     def test_rejects_infeasible_plan(self):
@@ -388,6 +393,30 @@ class TestSubsampleVariance:
         plan = SubsamplingPlan(n1=6, k=2, l=2, iterations=5)
         with pytest.raises(ValueError, match="companion sample size"):
             subsample_variance(x, KernelSpec(sigma=1.0), "mvd", plan, 1)
+
+    @pytest.mark.parametrize("seed,match", [(-1, "^seed must be a non-negative integer, got -1$"),
+                                            (np.int64(-5), "^seed must be a non-negative integer, got -5$"),
+                                            (2.5, "^seed must be an integer, got 2.5$"),
+                                            (True, "^seed must be an integer, got True$")],
+                             ids=["negative", "numpy-negative", "float", "bool"])
+    def test_rejects_a_bad_seed(self, seed, match):
+        x = np.random.default_rng(64).normal(size=(12, 1))
+        plan = SubsamplingPlan(n1=6, k=2, l=2, iterations=5)
+        with pytest.raises(ValueError, match=match):
+            subsample_variance(x, KernelSpec(sigma=1.0), "mvd", plan, 10, seed=seed)
+
+    def test_underflow_to_zero_names_log_scale(self):
+        # n = m = 80, d = 3, sigma = 3^(-3/4), the default plan: e^(4C) at
+        # C = -300 underflows float64, so the positive mvd v_sub would read 0;
+        # e^(2C) keeps the mmd one.
+        x = np.random.default_rng(0).standard_normal((80, 3))
+        plan = SubsamplingPlan.for_sample(80)
+        sigma = 3.0 ** -0.75
+        assert subsample_variance(x, KernelSpec(sigma=sigma), "mvd", plan, 80) > 0.0
+        with pytest.raises(ValueError, match=r"^log_scale=-300\.0 is too small: the scaled mvd v_sub "
+                                             r"underflowed float64 to 0"):
+            subsample_variance(x, KernelSpec(sigma=sigma, log_scale=-300.0), "mvd", plan, 80)
+        assert subsample_variance(x, KernelSpec(sigma=sigma, log_scale=-300.0), "mmd", plan, 80) > 0.0
 
 
 class TestRunLanes:
@@ -454,9 +483,10 @@ class TestSubsampleLanes:
     """Above a size gate the chunks run on one lane per CPU; results must not depend on it."""
 
     # 27100 scalars per iteration, above the gate: chunks of 9 iterations, the last one short.
-    ABOVE = SubsamplingPlan(n1=200, k=100, l=90, iterations=23, seed=31)
+    ABOVE = SubsamplingPlan(n1=200, k=100, l=90, iterations=23)
     # 8325 scalars per iteration, below the gate: four chunks on one lane.
-    BELOW = SubsamplingPlan(n1=200, k=60, l=45, iterations=100, seed=37)
+    BELOW = SubsamplingPlan(n1=200, k=60, l=45, iterations=100)
+    SEED = 31
 
     @staticmethod
     def _k_x(sigma=0.5):
@@ -481,7 +511,7 @@ class TestSubsampleLanes:
                 got = []
                 for workers in (1, 2, 64):
                     monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: workers)
-                    got.append(mvdtest.null._subsample_variance(k_x, kinds, plan, 350))
+                    got.append(mvdtest.null._subsample_variance(k_x, kinds, plan, 350, self.SEED))
                 assert got[1] == got[0] and got[2] == got[0]
         finally:
             sys.setswitchinterval(interval)
@@ -491,8 +521,8 @@ class TestSubsampleLanes:
         spec = KernelSpec(sigma=0.7)
         monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: 2)
         for kind in ("mvd", "mmd"):
-            np.testing.assert_allclose(subsample_variance(x, spec, kind, self.ABOVE, 350),
-                                       _reference_subsample_variance(x, spec, kind, self.ABOVE, 350),
+            np.testing.assert_allclose(subsample_variance(x, spec, kind, self.ABOVE, 350, seed=self.SEED),
+                                       _reference_subsample_variance(x, spec, kind, self.ABOVE, 350, self.SEED),
                                        rtol=1e-12)
 
     def test_only_plans_above_the_gate_start_a_pool(self, monkeypatch):
@@ -513,9 +543,9 @@ class TestSubsampleLanes:
         monkeypatch.setattr(mvdtest.null, "_raw_statistics", recording_raw)
         monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: 64)
         k_x = self._k_x()
-        mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), self.BELOW, 350)
+        mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), self.BELOW, 350, self.SEED)
         assert pools == [] and lanes == {threading.get_ident()}
-        mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), self.ABOVE, 350)
+        mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), self.ABOVE, 350, self.SEED)
         assert pools == [2]  # three chunks: the caller's lane and two pool lanes
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -532,14 +562,14 @@ class TestSubsampleLanes:
         monkeypatch.setattr(mvdtest.null, "_raw_statistics", failing_raw)
         monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: workers)
         with pytest.raises(RuntimeError) as info:
-            mvdtest.null._subsample_variance(self._k_x(), ("mvd", "mmd"), self.ABOVE, 350)
+            mvdtest.null._subsample_variance(self._k_x(), ("mvd", "mmd"), self.ABOVE, 350, self.SEED)
         assert info.value is failure
 
     def test_run_tests_reports_do_not_depend_on_worker_count(self, monkeypatch):
         # n = 600 gives the default k = l = 75, above the gate.
         rng = np.random.default_rng(69)
         x, y = rng.normal(size=(600, 2)), rng.normal(size=(450, 2))
-        plan = SubsamplingPlan.for_sample(600, iterations=40, seed=3)
+        plan = SubsamplingPlan.for_sample(600, iterations=40)
         assert 3 * plan.k**2 >= mvdtest.null._LANE_SCALARS
         got = []
         for workers in (1, 2):
@@ -577,20 +607,21 @@ class TestStreamStates:
 
     def test_subsample_variance_matches_reference_at_a_wide_seed(self, monkeypatch):
         x = np.random.default_rng(70).normal(size=(40, 3))
-        plan = SubsamplingPlan(n1=20, k=6, l=5, iterations=200, seed=2**70 + 3)
+        plan = SubsamplingPlan(n1=20, k=6, l=5, iterations=200)
+        seed = 2**70 + 3
         k_x = gram(x, x, KernelSpec(sigma=0.7))
-        got = mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), plan, 30)
+        got = mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), plan, 30, seed)
         for kind, value in zip(("mvd", "mmd"), got):
             # The reference sums each statistic in another order, so it agrees to
             # round-off; a wrong stream would move v_sub by far more.
             np.testing.assert_allclose(value, _reference_subsample_variance(
-                x, KernelSpec(sigma=0.7), kind, plan, 30), rtol=1e-12)
+                x, KernelSpec(sigma=0.7), kind, plan, 30, seed), rtol=1e-12)
 
         def default_rng_states(prefix, count):
             return [np.random.default_rng([*prefix, i]).bit_generator.state for i in range(count)]
 
         monkeypatch.setattr(mvdtest.null, "_stream_states", default_rng_states)
-        assert mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), plan, 30) == got
+        assert mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), plan, 30, seed) == got
 
     def test_self_check_refuses_a_wrong_state(self, monkeypatch):
         real = mvdtest.null._pcg64_states
@@ -604,7 +635,7 @@ class TestStreamStates:
         monkeypatch.setattr(mvdtest.null, "_pcg64_states", off_by_one)
         with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} seeds default_rng"):
             mvdtest.null._subsample_variance(TestSubsampleLanes._k_x(), ("mvd",),
-                                             TestSubsampleLanes.BELOW, 350)
+                                             TestSubsampleLanes.BELOW, 350, TestSubsampleLanes.SEED)
 
     def test_rejects_indices_beyond_one_word(self):
         with pytest.raises(ValueError, match="below 2\\^32"):
@@ -620,14 +651,19 @@ class TestFitWprime:
         assert na.c == 2.0
 
     def test_moment_properties(self):
-        na = fit_wprime(_unit_weights([0.7, 0.2]), 0.4, 5.0, 0.3, draws_j=4000)
+        na = fit_wprime(_unit_weights([0.7, 0.2]), 0.4, 5.0, 0.3)
         mu_s = 0.9 / (0.4 * 0.6)
         v_s = 2 * (0.49 + 0.04) / (0.4 * 0.6) ** 2
         np.testing.assert_allclose(na.uncorrected_mean, mu_s, rtol=1e-12)
         np.testing.assert_allclose(na.uncorrected_variance, v_s, rtol=1e-12)
         np.testing.assert_allclose(na.mean, na.xi * mu_s + na.c, rtol=1e-12)
         np.testing.assert_allclose(na.variance, (1 + 0.3) * 5.0, rtol=1e-12)
-        assert na.draws_j == 4000
+
+    def test_law_holds_no_draw_count(self):
+        # critical_value takes the draw count; the fitted law is only the law.
+        assert [f.name for f in dataclasses.fields(NullApprox)] == ["weights", "rho", "tau", "v_sub", "xi", "c"]
+        with pytest.raises(TypeError):
+            fit_wprime(_unit_weights([1.0]), 0.5, 8.0, 0.0, draws_j=100)
 
     def test_mean_is_preserved_when_variances_match(self):
         w = _unit_weights([1.0])
@@ -665,22 +701,27 @@ class TestFitWprime:
 
 class TestCriticalValue:
     def test_single_weight_matches_chi_square_quantile(self):
-        na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0, draws_j=10**6)
-        cv = critical_value(na, 0.05, seed=123)
+        na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0)
+        cv = critical_value(na, 0.05, seed=123, draws=10**6)
         assert abs(cv - 4 * CHI2_1_Q95) < 0.15
 
     def test_rank_on_small_sample(self):
         # J = 20constructed draws: quantile rank ceil(20 * 0.95) = 19 -> 19th
         # smallest value, i.e. the second largest.
-        na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0, draws_j=20)
+        na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0)
         draws = sample_weighted_chisq(na.weights, na.rho, 20, seed=3)
         want = np.sort(na.xi * draws + na.c)[18]
-        np.testing.assert_allclose(critical_value(na, 0.05, seed=3), want, rtol=1e-15)
+        np.testing.assert_allclose(critical_value(na, 0.05, seed=3, draws=20), want, rtol=1e-15)
+
+    def test_default_draw_count(self):
+        na = fit_wprime(_unit_weights([1.0, 0.3]), 0.5, 40.0, 0.1)
+        draws = sample_weighted_chisq(na.weights, na.rho, 10000, seed=4)
+        assert critical_value(na, 0.05, seed=4) == np.sort(na.xi * draws + na.c)[9499]
 
     def test_rejects_too_few_draws(self):
-        na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0, draws_j=10)
-        with pytest.raises(ValueError, match="too small for alpha"):
-            critical_value(na, 0.05)
+        na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0)
+        with pytest.raises(ValueError, match="^draws=10 is too small for alpha=0.05$"):
+            critical_value(na, 0.05, draws=10)
 
     def test_rejects_bad_alpha(self):
         na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0)
@@ -688,8 +729,8 @@ class TestCriticalValue:
             critical_value(na, 0.0)
 
     def test_smaller_alpha_larger_critical_value(self):
-        na = fit_wprime(_unit_weights([1.0, 0.3]), 0.5, 40.0, 0.1, draws_j=10**5)
-        assert critical_value(na, 0.01, seed=5) > critical_value(na, 0.10, seed=5)
+        na = fit_wprime(_unit_weights([1.0, 0.3]), 0.5, 40.0, 0.1)
+        assert critical_value(na, 0.01, seed=5, draws=10**5) > critical_value(na, 0.10, seed=5, draws=10**5)
 
 
 class TestRunTest:
@@ -727,7 +768,7 @@ class TestRunTest:
     def test_default_plan_and_tau(self):
         x, y = self._samples(n=48, m=48)
         rep = run_test(x, y, KernelSpec(sigma=0.5), kind="mvd", draws=2000, seed=3)
-        assert rep.plan == SubsamplingPlan.for_sample(48, seed=3)
+        assert rep.plan == SubsamplingPlan.for_sample(48)
         # k / n = 6 / 48 = 1/8 exactly
         assert rep.tau == TAU_TABLE["mvd"][0.125]
 
@@ -766,7 +807,7 @@ class TestRunTest:
         rep = run_test(x, y, KernelSpec(sigma=0.5), kind="mvd", alpha=0.05, draws=2000, seed=21)
         # recompute the corrected draws exactly as the runner does
         w = spectral_weights(h_matrix(build_gram_set(x, y, KernelSpec(sigma=0.5))), 40)
-        na = fit_wprime(w, 40 / 76, rep.v_sub, rep.tau, draws_j=2000)
+        na = fit_wprime(w, 40 / 76, rep.v_sub, rep.tau)
         s = sample_weighted_chisq(na.weights, na.rho, 2000, seed=[21, 1])
         wprime = na.xi * s + na.c
         np.testing.assert_allclose(rep.p_value, np.mean(wprime >= rep.statistic), rtol=1e-15)
@@ -780,36 +821,40 @@ class TestRunTest:
     def test_lower_level_pieces_reproduce_the_report(self, sigma, log_scale):
         # run_tests streams the Gram blocks and scales the spectra's sources
         # in place; the public pieces, composed at C = 0 and their magnitudes
-        # scaled to log_scale, must give the same bits.  The test draws its
-        # null law from the stream (seed, 1), not from seed.
+        # scaled to log_scale, must give the same bits.  The one seed of the
+        # test reaches each piece as the test uses it: subsample_variance
+        # takes it as is, and the null law is drawn from the stream (seed, 1),
+        # not from seed, with the test's draw count.
         x, y = self._samples()
         spec = KernelSpec(sigma=sigma, log_scale=log_scale)
         reports = run_tests(x, y, spec, kinds=("mvd", "mmd"), draws=2000, seed=21)
         unit = KernelSpec(sigma=sigma)
         g = build_gram_set(x, y, unit)
-        plan = SubsamplingPlan.for_sample(g.n, divisor=8, seed=21)
+        plan = SubsamplingPlan.for_sample(g.n, divisor=8)
         rho = g.n / (g.n + g.m)
         for rep in reports:
             kind = rep.kind
             power = _POWER[kind]
             w = spectral_weights(h_matrix(g) if kind == "mvd" else g.kc_x, g.n)
-            v = subsample_variance(x, unit, kind, plan, g.m)
-            law = fit_wprime(w, rho, v, tau=default_tau(kind, plan.k / g.n), draws_j=2000)
+            v = subsample_variance(x, unit, kind, plan, g.m, seed=21)
+            law = fit_wprime(w, rho, v, tau=default_tau(kind, plan.k / g.n))
             stat = (g.n + g.m) * statistic(g, kind)
             s = sample_weighted_chisq(w, rho, 2000, seed=[21, 1])
             assert _rescale(stat, log_scale, power) == rep.statistic
-            assert _rescale(critical_value(law, 0.05, seed=[21, 1]), log_scale, power) == rep.critical_value
-            assert _rescale(critical_value(dataclasses.replace(law, xi=1.0, c=0.0), 0.05, seed=[21, 1]),
-                            log_scale, power) == rep.critical_value_uncorrected
+            assert _rescale(critical_value(law, 0.05, seed=[21, 1], draws=2000), log_scale,
+                            power) == rep.critical_value
+            assert _rescale(critical_value(dataclasses.replace(law, xi=1.0, c=0.0), 0.05, seed=[21, 1],
+                                           draws=2000), log_scale, power) == rep.critical_value_uncorrected
             assert float(np.mean(law.xi * s + law.c >= stat)) == rep.p_value
             assert (law.xi, law.tau) == (rep.xi, rep.tau)
             assert _rescale(law.c, log_scale, power) == rep.c
             assert _rescale(v, log_scale, 2.0 * power) == rep.v_sub
-            assert rep.v_sub == subsample_variance(x, spec, kind, plan, g.m)
+            assert rep.v_sub == subsample_variance(x, spec, kind, plan, g.m, seed=21)
             assert _rescale(w.trace, log_scale, power) == rep.weights_trace
             assert _rescale(w.clipped_mass, log_scale, power) == rep.clipped_mass
             assert w.clipped_count == rep.clipped_count
-            assert _rescale(critical_value(law, 0.05, seed=21), log_scale, power) != rep.critical_value
+            assert _rescale(critical_value(law, 0.05, seed=21, draws=2000), log_scale, power) != rep.critical_value
+            assert subsample_variance(x, unit, kind, plan, g.m, seed=22) != v
 
     def test_uncorrected_critical_value_is_xi_free(self):
         x, y = self._samples()
@@ -872,21 +917,62 @@ class TestRunTest:
     def test_default_plan_runs_at_four_rows(self):
         x, y = self._samples(n=4, m=10)
         for rep in run_tests(x, y, KernelSpec(sigma=0.5), draws=200, seed=1):
-            assert rep.plan == SubsamplingPlan.for_sample(4, seed=1)
+            assert rep.plan == SubsamplingPlan.for_sample(4)
             assert 0.0 <= rep.p_value <= 1.0
 
-    def test_explicit_plan_is_used(self):
+    def test_explicit_plan_subsamples_from_the_test_seed(self):
         x, y = self._samples()
-        plan = SubsamplingPlan(n1=20, k=4, l=4, iterations=50, seed=99)
+        plan = SubsamplingPlan(n1=20, k=4, l=4, iterations=50)
         rep = run_test(x, y, KernelSpec(sigma=0.5), kind="mvd", plan=plan, draws=2000, seed=6)
         assert rep.plan == plan
         np.testing.assert_allclose(
-            rep.v_sub, subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 36), rtol=1e-15)
+            rep.v_sub, subsample_variance(x, KernelSpec(sigma=0.5), "mvd", plan, 36, seed=6), rtol=1e-15)
+
+    @pytest.mark.parametrize("seed", [0, 6, 2**40])
+    def test_one_seed_per_run(self, seed):
+        # The default plan, given explicitly, changes nothing: a run has one
+        # seed, and the plan holds none.
+        x, y = self._samples()
+        spec = KernelSpec(sigma=0.5, log_scale=0.3)
+        default = run_tests(x, y, spec, draws=1000, seed=seed)
+        explicit = run_tests(x, y, spec, plan=SubsamplingPlan.for_sample(40), draws=1000, seed=seed)
+        assert [dataclasses.asdict(rep) for rep in explicit] == [dataclasses.asdict(rep) for rep in default]
+        plan = SubsamplingPlan.for_sample(40)
+        for rep in default:
+            np.testing.assert_allclose(subsample_variance(x, spec, rep.kind, plan, 36, seed=seed), rep.v_sub,
+                                       rtol=1e-15)
+
+    def test_underflowing_v_sub_names_log_scale(self):
+        # n = m = 80, d = 3, sigma = 3^(-3/4): at C = -300 the mvd v_sub
+        # scales by e^(-1200), which underflows float64; the report would read
+        # v_sub = 0 next to the xi = 0.759 fitted from the positive one.
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((80, 3)), rng.standard_normal((80, 3))
+        sigma = 3.0 ** -0.75
+        base = run_test(x, y, KernelSpec(sigma=sigma), kind="mvd", seed=0)
+        assert base.v_sub > 0.0 and round(base.xi, 3) == 0.759
+        with pytest.raises(ValueError, match=r"^log_scale=-300\.0 is too small: the scaled mvd v_sub"):
+            run_test(x, y, KernelSpec(sigma=sigma, log_scale=-300.0), kind="mvd", seed=0)
+        # e^(-600) keeps the mmd v_sub; the run goes through.
+        rep = run_test(x, y, KernelSpec(sigma=sigma, log_scale=-300.0), kind="mmd", seed=0)
+        assert rep.v_sub > 0.0
+
+    def test_underflow_out_of_order_still_raises_with_zero_v_sub(self):
+        # Two distinct rows, one per pool: every subsample gives the same
+        # statistic, so v_sub = 0 and cannot underflow.  The far-off y is
+        # rejected at C = 0, and at C = -400 the statistic and critical value
+        # underflow to 0, which would read as no rejection.
+        x = np.repeat([[0.0, 0.0], [1.0, 0.5]], 20, axis=0)
+        y = 3.0 + self._samples(n=4, m=30)[1]
+        base = run_test(x, y, KernelSpec(sigma=0.5), kind="mvd", draws=2000, seed=1)
+        assert base.v_sub == 0.0 and base.reject
+        with pytest.raises(ValueError, match="^log_scale=-400.0 is too small: the scaled statistic"):
+            run_test(x, y, KernelSpec(sigma=0.5, log_scale=-400.0), kind="mvd", draws=2000, seed=1)
 
 
 class TestRunTests:
     SPEC = KernelSpec(sigma=0.5)
-    PLAN = SubsamplingPlan(n1=22, k=6, l=4, iterations=60, seed=5)
+    PLAN = SubsamplingPlan(n1=22, k=6, l=4, iterations=60)
 
     def _samples(self):
         rng = np.random.default_rng(97)
@@ -993,7 +1079,8 @@ COUNTS = {
     "sample_weighted_chisq": ("j", lambda v: sample_weighted_chisq(_unit_weights([1.0, 0.5]), 0.5, v)),
     "subsample_variance": ("m", lambda v: subsample_variance(_X, KernelSpec(sigma=0.5), "mvd",
                                                              SubsamplingPlan.for_sample(20), v)),
-    "fit_wprime": ("draws_j", lambda v: fit_wprime(_unit_weights([1.0, 0.5]), 0.5, 1.0, 0.0, draws_j=v)),
+    "critical_value": ("draws", lambda v: critical_value(fit_wprime(_unit_weights([1.0, 0.5]), 0.5, 1.0, 0.0),
+                                                         0.05, draws=v)),
     "sample": ("n", lambda v: sample(DistributionSpec.std_normal(2), v)),
     "variance_table": ("reps", lambda v: variance_table([_CELL], reps=v)),
     "type1_power_table": ("reps", lambda v: type1_power_table([_CELL], reps=v)),

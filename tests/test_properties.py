@@ -55,7 +55,7 @@ class TestStatisticProperties:
 def test_reports_are_self_consistent(shape, sigma, log_scale, law):
     n, m, d = shape
     x, y = _samples(n, m, d, law)
-    plan = SubsamplingPlan.for_sample(n, divisor=4, iterations=60, seed=n)
+    plan = SubsamplingPlan.for_sample(n, divisor=4, iterations=60)
     for rep in run_tests(x, y, KernelSpec(sigma=sigma, log_scale=log_scale), plan=plan, draws=400, seed=m):
         assert 0.0 <= rep.p_value <= 1.0
         assert rep.reject == (rep.statistic > rep.critical_value)
@@ -66,6 +66,6 @@ def test_reports_are_self_consistent(shape, sigma, log_scale, law):
 def test_smallest_feasible_sample_runs(sigma, m):
     x, y = _samples(4, m, 2, "alternative")
     for rep in run_tests(x, y, KernelSpec(sigma=sigma), draws=200, seed=1):
-        assert rep.plan == SubsamplingPlan(n1=2, k=2, l=2, iterations=1000, seed=1)
+        assert rep.plan == SubsamplingPlan(n1=2, k=2, l=2, iterations=1000)
         assert 0.0 <= rep.p_value <= 1.0
         assert rep.reject == (rep.statistic > rep.critical_value)
