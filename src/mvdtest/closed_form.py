@@ -70,18 +70,28 @@ class GaussianSpec:
         return cls(np.full(d, float(t)), np.diag(np.full(d, float(s))))
 
 
+def _standard(d, sigma, kinds):
+    """P = N(0, I_d) and {kind: |P|^2} for each kind's operator, shared by every q compared with P."""
+    p = GaussianSpec.standard(d)
+    return p, {kind: _OPERATORS[kind][0](p, sigma) for kind in kinds}
+
+
+def _sq_distance(kind, p, p_norms, q, sigma, c):
+    """|P|^2 + |q|^2 - 2<P, q> for kind's operator, floored at 0, times e^(pc) (p = 2 for mvd, 1 for mmd)."""
+    norm_sq, inner = _OPERATORS[kind]
+    return _rescale(max(p_norms[kind] + norm_sq(q, sigma) - 2.0 * inner(p, q, sigma), 0.0), c, _POWER[kind])
+
+
 def mmd_sq_gaussian(q, sigma, c=0.0):
     """Squared mean-embedding distance |P|^2 + |q|^2 - 2<P, q> between P = N(0, I_d) and q, times e^c."""
-    p = GaussianSpec.standard(q.dim)
-    return _rescale(max(mean_embedding_norm_sq(p, sigma) + mean_embedding_norm_sq(q, sigma)
-                        - 2.0 * mean_embedding_inner(p, q, sigma), 0.0), c, _POWER["mmd"])
+    p, p_norms = _standard(q.dim, sigma, ("mmd",))
+    return _sq_distance("mmd", p, p_norms, q, sigma, c)
 
 
 def mvd_sq_gaussian(q, sigma, c=0.0):
     """Squared covariance-operator distance |P|^2 + |q|^2 - 2<P, q> between P = N(0, I_d) and q, times e^{2c}."""
-    p = GaussianSpec.standard(q.dim)
-    return _rescale(max(cov_operator_norm_sq(p, sigma) + cov_operator_norm_sq(q, sigma)
-                        - 2.0 * cov_operator_inner(p, q, sigma), 0.0), c, _POWER["mvd"])
+    p, p_norms = _standard(q.dim, sigma, ("mvd",))
+    return _sq_distance("mvd", p, p_norms, q, sigma, c)
 
 
 def _isotropic(t, s, d):
@@ -114,11 +124,13 @@ def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):
     if not (np.isfinite(t_grid).all() and np.isfinite(s_grid).all()):
         raise ValueError("grids must be finite")
     rows = np.empty((t_grid.size * s_grid.size, 4))
+    p, p_norms = _standard(d, sigma, ("mmd", "mvd"))
     i = 0
     for t in t_grid:
         for s in s_grid:
             q = _isotropic(t, s, d)
-            rows[i] = (t, s, mmd_sq_gaussian(q, sigma, c), mvd_sq_gaussian(q, sigma, c))
+            rows[i] = (t, s, _sq_distance("mmd", p, p_norms, q, sigma, c),
+                       _sq_distance("mvd", p, p_norms, q, sigma, c))
             i += 1
     return rows
 
@@ -184,3 +196,8 @@ def cov_operator_inner(p, q, sigma):
 def cov_operator_norm_sq(p, sigma):
     """||Sigma_k(p)||^2 (Hilbert-Schmidt) for a Gaussian p."""
     return cov_operator_inner(p, p, sigma)
+
+
+# Each kind's operator: its squared norm and inner product.
+_OPERATORS = {"mmd": (mean_embedding_norm_sq, mean_embedding_inner),
+              "mvd": (cov_operator_norm_sq, cov_operator_inner)}

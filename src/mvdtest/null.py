@@ -22,7 +22,7 @@ import numpy as np
 
 from .discrepancy import (KINDS, _POWER, _block_terms, _check_kind, _check_kinds, _combine_terms,
                           _h_matrix, _raw_statistics, _shift)
-from .kernels import _center, _check_integer, _rescale, as_sample, center_gram, gram
+from .kernels import _center, _check_integer, _is_integer, _rescale, as_sample, center_gram, gram
 
 # Variance-inflation defaults keyed by the subsample fraction k/n.  These are
 # through-origin regression slopes of exact against subsampled variances,
@@ -32,17 +32,21 @@ TAU_TABLE = {
     "mmd": {1 / 4: 0.21990, 1 / 6: 0.10951, 1 / 8: 0.11643},
 }
 
-# Cap on scalars drawn per block when sampling the null law, so large draw
-# counts stay in bounded memory.  The normal stream is consumed in the same
-# order whatever the block size, but BLAS may sum zz @ lam in another order
-# for another block shape, so a different cap can move draws by round-off
-# (up to a few 1e-15 relative at 2000 weights).
-_BLOCK_SCALARS = 1 << 22
+# Cap on scalars drawn per block when sampling the null law: 2^17 normals
+# (1 MB).  Each block is drawn, squared and multiplied by every weight vector
+# while it fits in a 2 MB L2 cache, and the draws never set a test's memory
+# peak: with the default 10000 draws, a 2^22 block (32 MB) outweighed the two
+# n x n arrays of a test below n ~ 1450.  The normal stream is consumed in
+# the same order whatever the block size, but BLAS may sum zz @ lam in
+# another order for another block shape, so a different cap can move draws
+# by round-off (up to a few 1e-15 relative at 2000 weights).
+_BLOCK_SCALARS = 1 << 17
 
-# Cap on Gram entries gathered per chunk of subsampling iterations.  It is
-# much smaller than _BLOCK_SCALARS on purpose: the gathered blocks sit on top
-# of the n x n Gram matrix, and at 2^22 scalars (32 MB) they would dominate
-# the memory of a 200-row study, which needs under 80 MB in all.
+# Cap on Gram entries gathered per chunk of subsampling iterations (2 MB).
+# Each lane's gathered blocks sit on top of the n x n Gram matrix, so the cap
+# keeps them a small share of a 200-row study's memory, while a chunk still
+# spreads numpy's per-call cost over many iterations (139 at n = 200 with
+# the default plan).
 _CHUNK_SCALARS = 1 << 18
 
 # Scalars one subsampling iteration must gather before its chunks are spread
@@ -161,6 +165,12 @@ def default_tau(kind, fraction):
     return table[nearest]
 
 
+def _check_divisor(divisor):
+    """Refuse a divisor of the default plan (k = l = n // divisor) that is not an integer >= 2."""
+    if not _is_integer(divisor) or divisor < 2:
+        raise ValueError(f"divisor {divisor!r}: need an integer >= 2 (k = l = n // divisor)")
+
+
 @dataclass(frozen=True)
 class SubsamplingPlan:
     """How to subsample the first sample when estimating the null variance.
@@ -198,8 +208,10 @@ class SubsamplingPlan:
     @classmethod
     def for_sample(cls, n, divisor=8, iterations=1000):
         """Default plan for n >= 4 rows: split at n//2, subsample sizes max(2, n//divisor)."""
+        n = _check_integer(n, "n")
         if n < 4:
             raise ValueError(f"x needs at least 4 rows for the default subsampling plan, got {n}")
+        _check_divisor(divisor)
         size = max(2, n // divisor)
         return cls(n1=n // 2, k=size, l=size, iterations=iterations)
 
@@ -319,7 +331,8 @@ def _weighted_chisq_draws(lams, rho, j, seed):
         zz = rng.standard_normal(out=block[:stop - start])
         np.multiply(zz, zz, out=zz)
         for out, lam in live:
-            out[start:stop] = zz @ lam / denom
+            part = np.matmul(zz, lam, out=out[start:stop])
+            part /= denom
     return outs
 
 
@@ -679,9 +692,8 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     arrays at once (about 16 n^2 bytes: 64 MB at n = 2000, 1.6 GB at
     n = 10000), counting the copy eigvalsh makes.  For that, a run of both
     kinds builds K_X a second time, into H's buffer, for the mmd spectrum.
-    The chi-square draws run after those arrays are freed and reuse one block
-    of at most 2^22 normals (32 MB); with the default 10000 draws that block
-    outweighs the two n x n arrays below n ~ 1450.
+    The chi-square draws run after those arrays are freed and refill one
+    block of at most 2^17 normals (1 MB), so they never set the peak.
     """
     kinds = _check_kinds(kinds)
     taus = dict(tau) if isinstance(tau, Mapping) else dict.fromkeys(kinds, tau)

@@ -20,6 +20,7 @@ from mvdtest import (
     mvd_sq_gaussian,
     mvd_sq_isotropic,
 )
+from mvdtest.kernels import _rescale
 
 # Frozen quadrature values (independent numeric integration of the defining
 # Gaussian integrals, absolute error < 1e-8).
@@ -303,6 +304,22 @@ class TestCurves:
         for t, s, mmd_v, mvd_v in out:
             np.testing.assert_allclose(mmd_v, mmd_sq_isotropic(t, s, 5, 0.15, c=0.3), rtol=1e-14)
             np.testing.assert_allclose(mvd_v, mvd_sq_isotropic(t, s, 5, 0.15, c=0.3), rtol=1e-14)
+
+    @pytest.mark.parametrize("d,c", [(1, 0.0), (5, 0.3)])
+    def test_rows_equal_the_per_point_forms_bit_for_bit(self, d, c):
+        # P and its norms are computed once per call; every row must keep the
+        # bits of |P|^2 + |q|^2 - 2<P, q> built afresh at each grid point.
+        t_grid, s_grid, sigma = [0.0, 0.5, 1.5], [0.8, 1.0, 2.5], 0.15
+        want = []
+        for t in t_grid:
+            for s in s_grid:
+                p, q = GaussianSpec.standard(d), GaussianSpec.isotropic(t, s, d)
+                mmd = max(mean_embedding_norm_sq(p, sigma) + mean_embedding_norm_sq(q, sigma)
+                          - 2.0 * mean_embedding_inner(p, q, sigma), 0.0)
+                mvd = max(cov_operator_norm_sq(p, sigma) + cov_operator_norm_sq(q, sigma)
+                          - 2.0 * cov_operator_inner(p, q, sigma), 0.0)
+                want.append((t, s, _rescale(mmd, c, 1.0), _rescale(mvd, c, 2.0)))
+        np.testing.assert_array_equal(mvd_mmd_curves(t_grid, s_grid, d, sigma, c=c), want)
 
     def test_scale_changes_the_ranking(self):
         # at unit scale the mean statistic dominates near the origin ...

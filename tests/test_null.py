@@ -109,6 +109,17 @@ class TestSubsamplingPlan:
         plan = SubsamplingPlan.for_sample(10, divisor=8)
         assert (plan.k, plan.l) == (2, 2)
 
+    @pytest.mark.parametrize("n,divisor,match", [
+        (200, 0, "divisor 0: need an integer >= 2"),
+        (200, -3, "divisor -3: need an integer >= 2"),
+        (200, 8.5, "divisor 8.5: need an integer >= 2"),
+        (200, True, "divisor True: need an integer >= 2"),
+        (200.0, 8, "n must be an integer, got 200.0"),
+    ], ids=["zero", "negative", "float", "bool", "float-n"])
+    def test_for_sample_names_a_bad_argument(self, n, divisor, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            SubsamplingPlan.for_sample(n, divisor=divisor)
+
     def test_rejects_small_subsamples(self):
         with pytest.raises(ValueError, match="must be >= 2"):
             SubsamplingPlan(n1=10, k=1, l=5)
@@ -257,14 +268,15 @@ class TestSampleWeightedChisq:
             return generators[-1]
 
         monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+        monkeypatch.setattr(mvdtest.null, "_BLOCK_SCALARS", 997 * size)  # one block
         full = sample_weighted_chisq(w, 0.3, 997, seed=9)
         stream = real_default_rng(9)
         stream.standard_normal(997 * size)
-        for block in (64, 7 * size, 1 << 16):
+        for block in (64, 7 * size, 1 << 16, 1 << 17):
             monkeypatch.setattr(mvdtest.null, "_BLOCK_SCALARS", block)
             blocked = sample_weighted_chisq(w, 0.3, 997, seed=9)
             np.testing.assert_allclose(blocked, full, rtol=1e-14, atol=0)
-        assert len(generators) == 4
+        assert len(generators) == 5
         for rng in generators:
             assert rng.bit_generator.state == stream.bit_generator.state
 
@@ -1010,7 +1022,8 @@ class TestRunTests:
 
     @pytest.mark.parametrize("kinds", [("mvd", "mmd"), ("mmd",), ("mvd",)])
     def test_holds_at_most_two_square_arrays(self, kinds, monkeypatch):
-        # n^2 dominates: a short plan and few draws.  tracemalloc sees numpy's
+        # n^2 dominates: a short plan, and the default draws, whose block
+        # must stay under the two n x n arrays.  tracemalloc sees numpy's
         # arrays but not the copy LAPACK makes inside eigvalsh, so one n x n
         # array is added to the memory traced at each eigvalsh call.
         n = 1000
@@ -1029,13 +1042,29 @@ class TestRunTests:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run_tests(x, y, self.SPEC, kinds=kinds, plan=plan, draws=100)
+            run_tests(x, y, self.SPEC, kinds=kinds, plan=plan)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert len(readings) == len(kinds)
         assert peak <= 2.25 * unit
         assert max(readings) <= 2.25 * unit
+
+    def test_draws_do_not_set_the_peak_of_a_small_test(self):
+        # At n = 200 the two n x n arrays take 0.6 MB, so the default plan's
+        # subsampling buffers and the default 10000 draws set the peak; the
+        # draw block must stay far below the 16 MB of 10000 x 199 normals.
+        n = 200
+        rng = np.random.default_rng(97)
+        x, y = rng.normal(size=(n, 5)), rng.normal(size=(n, 5))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_tests(x, y, self.SPEC)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
     @pytest.mark.parametrize("kinds,calls", [(("mvd", "mmd"), 4), (("mmd", "mvd"), 4), (("mvd",), 3),
                                              (("mmd",), 3)])
