@@ -276,10 +276,9 @@ def cmd_curves(args):
     rows = mvd_mmd_curves(args.t, args.s, args.d, sigma, args.log_scale)
     lines = ["t,s,d,sigma,C,mmd_sq,mvd_sq"]
     for t, s, mmd_sq, mvd_sq in rows:
-        lines.append(",".join([
-            repr(float(t)), repr(float(s)), str(args.d), repr(float(sigma)),
-            repr(float(args.log_scale)), repr(float(mmd_sq)), repr(float(mvd_sq)),
-        ]))
+        # Python floats: numpy 2 writes an np.float64 as "np.float64(...)".
+        cells = (float(t), float(s), args.d, float(sigma), float(args.log_scale), float(mmd_sq), float(mvd_sq))
+        lines.append(",".join(map(_csv_cell, cells)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -43,8 +43,8 @@ def _check_integer(value, name):
 
 
 def _check_sigma(sigma):
-    """Refuse a bandwidth that is not a positive finite real."""
-    if not (np.isfinite(sigma) and sigma > 0):
+    """Refuse a bandwidth that is not a positive finite real; a bool is not one, though True > 0."""
+    if isinstance(sigma, (bool, np.bool_)) or not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
@@ -65,8 +65,8 @@ class KernelSpec:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        if not np.isfinite(self.log_scale):
-            raise ValueError(f"log_scale must be finite, got {self.log_scale!r}")
+        if isinstance(self.log_scale, (bool, np.bool_)) or not np.isfinite(self.log_scale):
+            raise ValueError(f"log_scale must be finite and real, got {self.log_scale!r}")
 
 
 def _rescale(value, log_scale, power):

@@ -12,6 +12,7 @@ the first moment is kept at the spectrum's own mean.
 
 import dataclasses
 import math
+import numbers
 import os
 import threading
 from collections.abc import Mapping
@@ -165,12 +166,6 @@ def default_tau(kind, fraction):
     return table[nearest]
 
 
-def _check_divisor(divisor):
-    """Refuse a divisor of the default plan (k = l = n // divisor) that is not an integer >= 2."""
-    if not _is_integer(divisor) or divisor < 2:
-        raise ValueError(f"divisor {divisor!r}: need an integer >= 2 (k = l = n // divisor)")
-
-
 @dataclass(frozen=True)
 class SubsamplingPlan:
     """How to subsample the first sample when estimating the null variance.
@@ -211,7 +206,8 @@ class SubsamplingPlan:
         n = _check_integer(n, "n")
         if n < 4:
             raise ValueError(f"x needs at least 4 rows for the default subsampling plan, got {n}")
-        _check_divisor(divisor)
+        if not _is_integer(divisor) or divisor < 2:
+            raise ValueError(f"divisor {divisor!r}: need an integer >= 2 (k = l = n // divisor)")
         size = max(2, n // divisor)
         return cls(n1=n // 2, k=size, l=size, iterations=iterations)
 
@@ -290,7 +286,7 @@ def _spectral_weights(a, n):
         lambdas=np.ascontiguousarray(lambdas),
         trace=float(lambdas.sum()),
         clipped_count=int(negative.sum()),
-        clipped_mass=float(-eigs[negative].sum()),
+        clipped_mass=0.0 - float(eigs[negative].sum()),  # +0.0, not -0.0, when nothing is clipped
     )
 
 
@@ -563,7 +559,7 @@ def fit_wprime(w, rho, v_sub, tau):
         raise ValueError(f"rho must be in (0, 1), got {rho!r}")
     if not (math.isfinite(v_sub) and v_sub >= 0.0):
         raise ValueError(f"v_sub must be >= 0 and finite, got {v_sub!r}")
-    _check_tau(tau)
+    tau = _check_tau(tau)
     mu_s, v_s = _law_moments(w, rho)
     if v_s == 0.0:
         if v_sub > 0.0:
@@ -572,23 +568,40 @@ def fit_wprime(w, rho, v_sub, tau):
     else:
         xi = math.sqrt((1.0 + tau) * v_sub / v_s)
         c = (1.0 - xi) * mu_s
-    return NullApprox(weights=w, rho=rho, tau=float(tau), v_sub=float(v_sub), xi=xi, c=c)
+    return NullApprox(weights=w, rho=rho, tau=tau, v_sub=float(v_sub), xi=xi, c=c)
 
 
 def _check_tau(tau):
-    """Refuse a tau that is negative, nan or infinite."""
+    """tau as a float; refuse a bool, a non-real, and a value that is negative, nan or infinite.
+
+    float() would run "0.3" as 0.3 and True as 1.0.
+    """
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
+        raise ValueError(f"tau must be a real number, got {tau!r}")
     if not (math.isfinite(tau) and tau >= 0.0):
         raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
+    return float(tau)
 
 
-def _quantile_rank(j, alpha):
-    """1-based rank of the empirical (1 - alpha)-quantile among j draws."""
-    return min(max(math.ceil(j * (1.0 - alpha)), 1), j)
+def _resolve_taus(tau, kinds):
+    """Each kind's tau as {kind: float}, None where the built-in table applies.
+
+    tau may be None (the table for every kind), a number applied to every
+    kind, or a mapping {kind: tau} whose missing kinds and None values use the
+    table.  Every key and value is checked, so a misspelt kind is refused
+    rather than left on its default.
+    """
+    taus = dict(tau) if isinstance(tau, Mapping) else dict.fromkeys(kinds, tau)
+    for key, value in taus.items():
+        _check_kind(key)
+        if value is not None:
+            taus[key] = _check_tau(value)
+    return {kind: taus.get(kind) for kind in kinds}
 
 
 def _quantile(values, alpha):
-    """Empirical (1 - alpha)-quantile: the value at ascending rank ceil(J (1 - alpha))."""
-    r = _quantile_rank(values.size, alpha)
+    """Empirical (1 - alpha)-quantile: the value at ascending rank ceil(J (1 - alpha)), clamped to [1, J]."""
+    r = min(max(math.ceil(values.size * (1.0 - alpha)), 1), values.size)
     return float(np.partition(values, r - 1)[r - 1])
 
 
@@ -671,10 +684,11 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
 
     tau may be None (the built-in table keyed by (kind, k/n)), a number
     applied to every kind, or a mapping {kind: tau} (missing kinds use the
-    table).  plan defaults to SubsamplingPlan.for_sample(n).  seed is the
-    run's one seed: the subsampling draws from the RNG streams (seed, 0, i),
-    whatever the plan, and the chi-square draws from the disjoint stream
-    (seed, 1).
+    table).  A tau that is a bool, a string or any other non-real is refused,
+    as is one that is negative, nan or infinite.  plan defaults to
+    SubsamplingPlan.for_sample(n).  seed is the run's one seed: the
+    subsampling draws from the RNG streams (seed, 0, i), whatever the plan,
+    and the chi-square draws from the disjoint stream (seed, 1).
 
     Every step runs at C = 0 and only the report's magnitudes carry C =
     spec.log_scale (see TestReport).  A scaled magnitude that overflows, a
@@ -687,20 +701,18 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     one a run for its kind alone gives.
 
     Memory: the Gram blocks are built and reduced one at a time, the
-    subsampling runs before K_X is centered, and the centered K~_X is dropped
-    once H is built, so with m <= n a test holds at most two n x n float64
-    arrays at once (about 16 n^2 bytes: 64 MB at n = 2000, 1.6 GB at
-    n = 10000), counting the copy eigvalsh makes.  For that, a run of both
-    kinds builds K_X a second time, into H's buffer, for the mmd spectrum.
-    The chi-square draws run after those arrays are freed and refill one
-    block of at most 2^17 normals (1 MB), so they never set the peak.
+    subsampling runs before K_X is centered, and the kinds are taken in the
+    order asked, each dropping the centered K~_X once its spectrum's source
+    (H for mvd, K~_X itself for mmd) is built.  So with m <= n a test holds
+    at most two n x n float64 arrays at once (about 16 n^2 bytes: 64 MB at
+    n = 2000, 1.6 GB at n = 10000), counting the copy eigvalsh makes.  For
+    that, K~_X is not kept for a run of both kinds: the second kind rebuilds
+    it, in the freed buffer.  The chi-square draws run after those arrays
+    are freed and refill one block of at most 2^17 normals (1 MB), so they
+    never set the peak.
     """
     kinds = _check_kinds(kinds)
-    taus = dict(tau) if isinstance(tau, Mapping) else dict.fromkeys(kinds, tau)
-    for key, value in taus.items():
-        _check_kind(key)
-        if value is not None:
-            _check_tau(float(value))
+    taus = _resolve_taus(tau, kinds)
     draws = _check_draws(draws, alpha)
     seed = _check_seed(seed)
     x = as_sample(x, "x")
@@ -724,36 +736,29 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     k_x = gram(x, x, spec)
     v_subs = _subsample_variance(k_x, kinds, plan, m, seed)
     scaled_v_subs = [_scale_v_sub(v_sub, log_scale, kind) for kind, v_sub in zip(kinds, v_subs)]
-    kc_x = center_gram(k_x)  # feeds both spectra, bit for bit as GramSet.kc_x would
+    kc_x = center_gram(k_x)  # the first spectrum's source, bit for bit as GramSet.kc_x would be
     t_x = _block_terms(kinds, k_x, shift)
     del k_x
     raws = _combine_terms(kinds, t_x, _block_terms(kinds, gram(y, y, spec), shift), t_xy, n, m)
-    # kc_x is dropped once H is built, so H's spectrum needs only H and
-    # eigvalsh's copy.  The mmd spectrum then rebuilds kc_x in H's buffer:
-    # _center takes its means before it writes, so the bits are center_gram's.
-    weights = {}
-    if "mvd" in kinds:
-        h = _h_matrix(kc_x)
-        del kc_x
-        weights["mvd"] = _spectral_weights(h, n)
-        if "mmd" in kinds:
-            kc_x = _center(gram(x, x, spec, out=h), out=h)
-        del h
-    if "mmd" in kinds:
-        weights["mmd"] = _spectral_weights(kc_x, n)
-        del kc_x
+    # Each kind takes its spectrum's source from kc_x and drops kc_x, so the
+    # spectrum needs only that source and eigvalsh's copy.  A second kind
+    # rebuilds kc_x in the buffer the first spectrum freed: _center takes its
+    # means before it writes, so the bits are center_gram's.
     rho = n / (n + m)
     fits = []
     for kind, v_sub in zip(kinds, v_subs):
-        w = weights[kind]
-        kind_tau = taus.get(kind)
-        if kind_tau is None:
-            kind_tau = default_tau(kind, plan.k / n)
-        fits.append((kind, raws[kind], fit_wprime(w, rho, v_sub, float(kind_tau))))
+        if kc_x is None:
+            kc_x = _center(gram(x, x, spec, out=source), out=source)
+        source = _h_matrix(kc_x) if kind == "mvd" else kc_x
+        kc_x = None
+        kind_tau = default_tau(kind, plan.k / n) if taus[kind] is None else taus[kind]
+        fits.append(fit_wprime(_spectral_weights(source, n), rho, v_sub, kind_tau))
+    del source
 
-    draws_s = _weighted_chisq_draws([na.weights.lambdas for _, _, na in fits], rho, draws, [seed, 1])
+    draws_s = _weighted_chisq_draws([na.weights.lambdas for na in fits], rho, draws, [seed, 1])
     reports = []
-    for (kind, raw, na), s, scaled_v_sub in zip(fits, draws_s, scaled_v_subs):
+    for kind, na, s, scaled_v_sub in zip(kinds, fits, draws_s, scaled_v_subs):
+        raw = raws[kind]
         stat = (n + m) * max(float(raw), 0.0)
         wprime = na.xi * s + na.c
         crit = _quantile(wprime, alpha)

@@ -19,7 +19,8 @@ import numpy as np
 from .closed_form import _check_dim
 from .discrepancy import _check_kinds, _raw_statistics
 from .kernels import KernelSpec, _check_integer, _check_sigma, _is_integer, gram
-from .null import SubsamplingPlan, _check_seed, _run_lanes, _subsample_variance, _worker_count, run_tests
+from .null import (SubsamplingPlan, _check_seed, _resolve_taus, _run_lanes, _subsample_variance, _worker_count,
+                   run_tests)
 
 # Named bandwidth presets: sigma = d ** -exponent.
 SIGMA_RULES = {"d^-3/4": 0.75, "d^-7/8": 0.875, "d^-1": 1.0, "d^-2": 2.0}
@@ -37,8 +38,8 @@ def sigma_from_rule(rule, d):
     "auto" means d^-3/4; the other presets are listed in SIGMA_RULES; any
     numeric string (or number) is taken at face value.
     """
-    if isinstance(rule, (int, float)) and not isinstance(rule, bool):
-        value = float(rule)
+    if isinstance(rule, (int, float)):
+        value = rule  # _check_sigma refuses a bool
     else:
         name = "d^-3/4" if rule == "auto" else rule
         if name in SIGMA_RULES:
@@ -49,7 +50,7 @@ def sigma_from_rule(rule, d):
         except (TypeError, ValueError):
             raise ValueError(f"unknown sigma rule {rule!r}; presets: auto, {', '.join(SIGMA_RULES)}") from None
     _check_sigma(value)
-    return value
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -261,10 +262,12 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
     with the binomial standard error sqrt(p(1-p)/reps).
 
     tau may be None (per-kind defaults), a number (applied to every kind), or
-    a dict {kind: tau}.
+    a dict {kind: tau}; it is checked as run_tests checks it, before the first
+    replication.
     """
     cells = _check_cells(cells)
     kinds = _check_kinds(kinds)
+    _resolve_taus(tau, kinds)
     seed = _check_seed(seed)
     reps = _check_integer(reps, "reps")
     if reps < 1:

@@ -69,6 +69,17 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="log_scale must be finite"):
             KernelSpec(sigma=1.0, log_scale=np.inf)
 
+    @pytest.mark.parametrize("sigma", [True, np.True_])
+    def test_rejects_a_bool_sigma(self, sigma):
+        # True > 0 and is finite, so it used to run as sigma = 1.
+        with pytest.raises(ValueError, match=f"sigma must be a positive finite real, got {sigma!r}"):
+            KernelSpec(sigma=sigma)
+
+    @pytest.mark.parametrize("log_scale", [True, False, np.True_])
+    def test_rejects_a_bool_log_scale(self, log_scale):
+        with pytest.raises(ValueError, match=f"log_scale must be finite and real, got {log_scale!r}"):
+            KernelSpec(sigma=1.0, log_scale=log_scale)
+
     def test_frozen(self):
         spec = KernelSpec(sigma=1.0)
         with pytest.raises(AttributeError):

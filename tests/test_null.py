@@ -710,6 +710,12 @@ class TestFitWprime:
         with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
             fit_wprime(_unit_weights([1.0]), 0.5, 1.0, tau)
 
+    @pytest.mark.parametrize("tau", ["0.3", True, np.True_, None])
+    def test_rejects_a_tau_that_is_not_a_real(self, tau):
+        # float() would run "0.3" as 0.3 and True as 1.0.
+        with pytest.raises(ValueError, match=re.escape(f"tau must be a real number, got {tau!r}")):
+            fit_wprime(_unit_weights([1.0]), 0.5, 1.0, tau)
+
 
 class TestCriticalValue:
     def test_single_weight_matches_chi_square_quantile(self):
@@ -1020,7 +1026,7 @@ class TestRunTests:
         with pytest.raises(ValueError, match=match):
             run_tests(x, y, self.SPEC, kinds=kinds, draws=200)
 
-    @pytest.mark.parametrize("kinds", [("mvd", "mmd"), ("mmd",), ("mvd",)])
+    @pytest.mark.parametrize("kinds", [("mvd", "mmd"), ("mmd", "mvd"), ("mmd",), ("mvd",)])
     def test_holds_at_most_two_square_arrays(self, kinds, monkeypatch):
         # n^2 dominates: a short plan, and the default draws, whose block
         # must stay under the two n x n arrays.  tracemalloc sees numpy's
@@ -1099,6 +1105,31 @@ class TestRunTests:
         x, y = self._samples()
         with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
             run_tests(x, y, self.SPEC, tau=tau, draws=200)
+
+    @pytest.mark.parametrize("tau,bad", [("0.3", "0.3"), (True, True), ({"mvd": "0.3"}, "0.3"),
+                                         ({"mvd": 0.2, "mmd": True}, True)])
+    def test_rejects_a_tau_that_is_not_a_real_before_any_gram_block(self, tau, bad, monkeypatch):
+        # "0.3" used to run as 0.3 and True as 1.0, alone or in a mapping.
+        def no_gram(*args, **kwargs):
+            raise AssertionError("a Gram block was built before tau was checked")
+
+        monkeypatch.setattr(mvdtest.null, "gram", no_gram)
+        x, y = self._samples()
+        with pytest.raises(ValueError, match=re.escape(f"tau must be a real number, got {bad!r}")):
+            run_tests(x, y, self.SPEC, tau=tau, draws=200)
+
+    def test_nothing_clipped_reads_positive_zero(self):
+        # The negated sum of an empty selection is -0.0, which mvdtest test
+        # printed as "clipped_mass": -0.0.  The clamp removes nothing in most
+        # of these reports and something in a few.
+        x, y = self._samples()
+        reports = [rep for n, sigma, log_scale in itertools.product((20, 44), (1e-3, 0.5, 20.0), (0.0, 0.7))
+                   for rep in run_tests(x[:n], y, KernelSpec(sigma, log_scale), draws=200,
+                                        plan=SubsamplingPlan.for_sample(n, iterations=20))]
+        assert any(rep.clipped_count for rep in reports)
+        for rep in reports:
+            if rep.clipped_count == 0:
+                assert math.copysign(1.0, rep.clipped_mass) == 1.0
 
 
 _X = np.random.default_rng(3).standard_normal((20, 2))

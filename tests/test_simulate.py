@@ -46,6 +46,13 @@ class TestSigmaFromRule:
 
     def test_number_taken_at_face_value(self):
         assert sigma_from_rule(0.4, 99) == 0.4
+        assert type(sigma_from_rule(2, 5)) is float and sigma_from_rule(2, 5) == 2.0
+
+    @pytest.mark.parametrize("rule", [True, False])
+    def test_rejects_a_bool(self, rule):
+        # True used to give sigma = 1.
+        with pytest.raises(ValueError, match=f"sigma must be a positive finite real, got {rule!r}"):
+            sigma_from_rule(rule, 5)
 
     def test_rejects_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown sigma rule"):
@@ -390,3 +397,27 @@ class TestTypeOnePowerTable:
         monkeypatch.setattr(mvdtest.simulate, "run_tests", no_replication)
         with pytest.raises(ValueError, match=re.escape(f"divisor {divisor!r}: need an integer >= 2")):
             self._run(divisor=divisor)
+
+    @pytest.mark.parametrize("tau,match", [
+        ("0.3", "tau must be a real number, got '0.3'"),
+        (True, "tau must be a real number, got True"),
+        ({"mmd": "0.3"}, "tau must be a real number, got '0.3'"),
+        ({"mvd": True}, "tau must be a real number, got True"),
+        (-0.5, "tau must be >= 0 and finite, got -0.5"),
+        ({"mdv": 0.3}, "unknown statistic kind 'mdv'"),
+    ])
+    def test_rejects_bad_tau_before_any_replication(self, tau, match, monkeypatch):
+        # "0.3" used to run every replication, then fail while the config was built.
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before tau was checked")
+        monkeypatch.setattr(mvdtest.simulate, "run_tests", no_replication)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            self._run(tau=tau)
+
+    def test_rejects_a_bool_sigma_rule_before_any_replication(self, monkeypatch):
+        # True used to run at sigma = 1 with sigma_rule True in its rows.
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before the cells were checked")
+        monkeypatch.setattr(mvdtest.simulate, "run_tests", no_replication)
+        with pytest.raises(ValueError, match="sigma must be a positive finite real, got True"):
+            self._run(cells=[(True, 2, 20, 20)])
