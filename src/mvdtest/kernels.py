@@ -1,6 +1,7 @@
 """Gram-matrix construction and double-centering."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +43,20 @@ def _check_integer(value, name):
     return int(value)
 
 
+def _is_finite_real(value):
+    """True for a finite Python or numpy real number; False for a bool, a string, None and anything else.
+
+    An int too large for float64 counts as not finite.
+    """
+    try:  # a numpy bool is no numbers.Real
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_sigma(sigma):
     """Refuse a bandwidth that is not a positive finite real; a bool is not one, though True > 0."""
-    if isinstance(sigma, (bool, np.bool_)) or not (np.isfinite(sigma) and sigma > 0):
+    if not (_is_finite_real(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
 
 
@@ -65,7 +77,7 @@ class KernelSpec:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        if isinstance(self.log_scale, (bool, np.bool_)) or not np.isfinite(self.log_scale):
+        if not _is_finite_real(self.log_scale):
             raise ValueError(f"log_scale must be finite and real, got {self.log_scale!r}")
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .discrepancy import (KINDS, _POWER, _block_terms, _check_kind, _check_kinds, _combine_terms,
                           _h_matrix, _raw_statistics, _shift)
-from .kernels import _center, _check_integer, _is_integer, _rescale, as_sample, center_gram, gram
+from .kernels import (_center, _check_integer, _is_finite_real, _is_integer, _rescale, as_sample, center_gram,
+                      gram)
 
 # Variance-inflation defaults keyed by the subsample fraction k/n.  These are
 # through-origin regression slopes of exact against subsampled variances,
@@ -290,6 +291,12 @@ def _spectral_weights(a, n):
     )
 
 
+def _check_rho(rho):
+    """Refuse a sample share rho = n / (n + m) that is not a real number in (0, 1)."""
+    if not (_is_finite_real(rho) and 0.0 < rho < 1.0):
+        raise ValueError(f"rho must be in (0, 1), got {rho!r}")
+
+
 def sample_weighted_chisq(w, rho, j, seed=0):
     """Draw j variates of S = (1/(rho(1-rho))) * sum_l lambda_l Z_l^2.
 
@@ -297,8 +304,7 @@ def sample_weighted_chisq(w, rho, j, seed=0):
     internal block size fixes which normals each draw uses, but not the order
     in which BLAS sums its products, so it can move draws by round-off.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must be in (0, 1), got {rho!r}")
+    _check_rho(rho)
     j = _check_integer(j, "j")
     if j < 1:
         raise ValueError(f"need at least one draw, got j={j}")
@@ -555,9 +561,8 @@ def fit_wprime(w, rho, v_sub, tau):
     closed form to xi = sqrt((1 + tau) v_sub / V_S) and c = (1 - xi) mu_S.
     The fit draws nothing; critical_value draws from the law it returns.
     """
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must be in (0, 1), got {rho!r}")
-    if not (math.isfinite(v_sub) and v_sub >= 0.0):
+    _check_rho(rho)
+    if not (_is_finite_real(v_sub) and v_sub >= 0.0):
         raise ValueError(f"v_sub must be >= 0 and finite, got {v_sub!r}")
     tau = _check_tau(tau)
     mu_s, v_s = _law_moments(w, rho)
@@ -578,7 +583,7 @@ def _check_tau(tau):
     """
     if isinstance(tau, bool) or not isinstance(tau, numbers.Real):
         raise ValueError(f"tau must be a real number, got {tau!r}")
-    if not (math.isfinite(tau) and tau >= 0.0):
+    if not (_is_finite_real(tau) and tau >= 0.0):  # an int beyond float64 is not finite
         raise ValueError(f"tau must be >= 0 and finite, got {tau!r}")
     return float(tau)
 
@@ -615,17 +620,36 @@ def _check_draws(draws, alpha):
     return draws
 
 
+def _null_tails(laws, statistics, alpha, draws, seed):
+    """(crit of W', crit of S, p-value) of each fitted law against its statistic.
+
+    The laws share one rho and one weight count.  J = draws variates of each
+    law's S are drawn from the one stream seed (_weighted_chisq_draws); each
+    critical value is the (1 - alpha)-quantile of W' = xi * S + c or of S
+    itself, and the p-value is the share of the W' draws that reach the
+    statistic.  This is the one place the null law turns into a decision:
+    run_tests and critical_value both call it.
+    """
+    lams = [np.asarray(na.weights.lambdas, dtype=float) for na in laws]
+    tails = []
+    for na, stat, s in zip(laws, statistics, _weighted_chisq_draws(lams, laws[0].rho, draws, seed)):
+        wprime = na.xi * s + na.c
+        tails.append((_quantile(wprime, alpha), _quantile(s, alpha), float(np.mean(wprime >= stat))))
+    return tails
+
+
 def critical_value(na, alpha, seed=0, draws=10000):
     """Empirical (1 - alpha)-quantile of the corrected null law W'.
 
     Draws `draws` samples of W' = xi * S + c and returns the value at
-    ascending rank ceil(J (1 - alpha)), J = draws.  Deterministic given the
-    seed; a test run with seed=s and draws=J draws from the stream [s, 1], so
-    seed=[s, 1], draws=J reproduces its critical value (seed=s does not).
+    ascending rank ceil(J (1 - alpha)), J = draws, through _null_tails, the
+    tail a test run takes.  Deterministic given the seed; a test run with
+    seed=s and draws=J draws from the stream [s, 1], so seed=[s, 1], draws=J
+    reproduces its critical value (seed=s does not).
     """
     draws = _check_draws(draws, alpha)
-    s = sample_weighted_chisq(na.weights, na.rho, draws, seed)
-    return _quantile(na.xi * s + na.c, alpha)
+    _check_rho(na.rho)
+    return _null_tails([na], [math.inf], alpha, draws, seed)[0][0]
 
 
 @dataclass(frozen=True)
@@ -681,6 +705,9 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     (1 - alpha)-quantile of W'.  The p-value is the fraction of the same J
     draws that reach the statistic, and the uncorrected critical value is the
     same quantile of the raw spectrum law (identical draws, xi = 1, c = 0).
+    All three come from _null_tails, the one tail critical_value also takes,
+    on the stream [seed, 1]: critical_value(law, alpha, seed=[seed, 1],
+    draws=draws) gives a report's critical value at C = 0.
 
     tau may be None (the built-in table keyed by (kind, k/n)), a number
     applied to every kind, or a mapping {kind: tau} (missing kinds use the
@@ -755,13 +782,10 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
         fits.append(fit_wprime(_spectral_weights(source, n), rho, v_sub, kind_tau))
     del source
 
-    draws_s = _weighted_chisq_draws([na.weights.lambdas for na in fits], rho, draws, [seed, 1])
+    stats = [(n + m) * max(float(raws[kind]), 0.0) for kind in kinds]
+    tails = _null_tails(fits, stats, alpha, draws, [seed, 1])
     reports = []
-    for kind, na, s, scaled_v_sub in zip(kinds, fits, draws_s, scaled_v_subs):
-        raw = raws[kind]
-        stat = (n + m) * max(float(raw), 0.0)
-        wprime = na.xi * s + na.c
-        crit = _quantile(wprime, alpha)
+    for kind, na, stat, (crit, crit_s, p_value), scaled_v_sub in zip(kinds, fits, stats, tails, scaled_v_subs):
         reject = bool(stat > crit)
         power = _POWER[kind]
         scaled_stat = _rescale(stat, log_scale, power)
@@ -776,8 +800,8 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
             m=m,
             statistic=scaled_stat,
             critical_value=scaled_crit,
-            critical_value_uncorrected=_rescale(_quantile(s, alpha), log_scale, power),
-            p_value=float(np.mean(wprime >= stat)),
+            critical_value_uncorrected=_rescale(crit_s, log_scale, power),
+            p_value=p_value,
             reject=reject,
             alpha=float(alpha),
             tau=na.tau,
@@ -790,6 +814,6 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
             weights_trace=_rescale(na.weights.trace, log_scale, power),
             clipped_count=na.weights.clipped_count,
             clipped_mass=_rescale(na.weights.clipped_mass, log_scale, power),
-            statistic_clamped=bool(raw < 0.0),
+            statistic_clamped=bool(raws[kind] < 0.0),
         ))
     return reports

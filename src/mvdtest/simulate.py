@@ -38,8 +38,8 @@ def sigma_from_rule(rule, d):
     "auto" means d^-3/4; the other presets are listed in SIGMA_RULES; any
     numeric string (or number) is taken at face value.
     """
-    if isinstance(rule, (int, float)):
-        value = rule  # _check_sigma refuses a bool
+    if isinstance(rule, (numbers.Real, np.bool_)):
+        value = rule  # _check_sigma refuses a bool, numpy's too
     else:
         name = "d^-3/4" if rule == "auto" else rule
         if name in SIGMA_RULES:

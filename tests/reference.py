@@ -243,3 +243,65 @@ def isotropic_sq_by_decimal(t, s, d, sigma):
                - 2 * den4**half * shifted(den4, 2))
         mmd = (one + 4 * g) ** half + (one + 4 * g * s) ** half - 2 * shifted(den4, 1)
         return float(mvd), float(mmd)
+
+
+
+def weighted_chisq_sf(mu, x):
+    """P(sum_l mu_l Z_l^2 > x) for weights mu >= 0, not all 0, and Z_l i.i.d. N(0, 1).
+
+    Imhof's (1961) integral
+        P = 1/2 + (1/pi) int_0^inf sin(A(u) - w u) / (u r(u)) du,   w = x / 2,
+        A(u) = (1/2) sum_l arctan(mu_l u),  r(u) = prod_l (1 + mu_l^2 u^2)^(1/4),
+    taken by scipy's quad (limit 2000, epsabs 1e-13) after mu and x are
+    divided by max mu.  The amplitude 1/(u r(u)) changes on the scale of u
+    itself and the phase on the period 2 pi / w, so [0, inf) is cut at
+    b = min(1, 2 pi / w), 2b, 4b, ... up to B = max(1, 2 pi / w), the last
+    cut at B itself.  The first panel, [0, b], holds at most one period and
+    is integrated as is.
+    On every later one, sin(A - wu) = sin A cos(wu) - cos A sin(wu) turns the
+    integrand into two Fourier integrals with a smooth amplitude: QUADPACK's
+    QAWO on each finite panel (however many periods it holds), and QAWF on
+    [B, inf), where the amplitude decays as u^(-3/2) or faster.  quad's error
+    estimates for these pieces run orders of magnitude above the true error,
+    so they are not used (full_output keeps them quiet); the acceptance tests
+    check the result against closed forms instead.  The result is clamped to
+    [0, 1].
+    """
+    mu = np.asarray(mu, dtype=float)
+    top = float(mu.max())
+    mu = mu[mu > 0.0] / top
+    x = float(x) / top
+    if x <= 0.0:
+        return 1.0
+    w = 0.5 * x
+
+    def phase_and_amplitude(u):
+        return 0.5 * np.sum(np.arctan(mu * u)), 1.0 / (u * math.exp(0.25 * np.sum(np.log1p((mu * u) ** 2))))
+
+    def whole(u):
+        if u == 0.0:  # the limit u -> 0
+            return 0.5 * float(mu.sum()) - w
+        phase, amplitude = phase_and_amplitude(u)
+        return math.sin(phase - w * u) * amplitude
+
+    def sin_part(u):
+        phase, amplitude = phase_and_amplitude(u)
+        return math.sin(phase) * amplitude
+
+    def cos_part(u):
+        phase, amplitude = phase_and_amplitude(u)
+        return math.cos(phase) * amplitude
+
+    def quad(f, lo, hi, **weight):
+        return integrate.quad(f, lo, hi, limit=2000, epsabs=1e-13, full_output=1, **weight)[0]
+
+    def fourier(lo, hi):
+        return quad(sin_part, lo, hi, weight="cos", wvar=w) - quad(cos_part, lo, hi, weight="sin", wvar=w)
+
+    period = 2.0 * math.pi / w
+    edges = [min(1.0, period)]
+    while edges[-1] < max(1.0, period):
+        edges.append(min(2.0 * edges[-1], max(1.0, period)))
+    integral = (quad(whole, 0.0, edges[0]) + sum(fourier(lo, hi) for lo, hi in zip(edges, edges[1:]))
+                + fourier(edges[-1], math.inf))
+    return min(max(0.5 + integral / math.pi, 0.0), 1.0)

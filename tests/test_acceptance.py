@@ -4,16 +4,18 @@ Each test here checks one externally meaningful guarantee of the package:
 agreement with brute-force oracles, closed-form consistency and accuracy
 against a high-precision oracle, convergence of the estimator to its
 population value, spectrum integrity, Monte Carlo reference bands for the
-null variance and test power, scale equivariance, and the moment contract of
-the corrected null law.
+null variance and test power, scale equivariance, the moment contract of
+the corrected null law, and the Monte Carlo tail against Imhof's exact one.
 """
 
 import dataclasses
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
+from scipy import integrate, stats
 
 import reference as ref
 from mvdtest import (
@@ -28,6 +30,7 @@ from mvdtest import (
     mvd_sq_gaussian,
     mvd_sq_isotropic,
     run_test,
+    run_tests,
     sample_weighted_chisq,
     spectral_weights,
     statistic,
@@ -257,3 +260,71 @@ def test_corrected_law_moment_match():
     target_var = (1 + tau) * v_sub
     assert abs(wprime.var(ddof=1) / target_var - 1.0) < 0.05
     assert time.time() - start < 60.0
+
+
+# Two-sided level of every interval in the exact-tail tests below, fixed
+# before any result was seen.
+TAIL_LEVEL = 1e-6
+
+
+@pytest.mark.parametrize("mu", [[1.0], [1e-4], [37.0], [2.5] * 2, [2.5] * 3, [0.7] * 10, [0.7] * 59])
+def test_exact_tail_oracle_matches_chi_square(mu):
+    """The Imhof oracle is mu * chi2_k for k equal weights mu, across the body and both tails."""
+    k, scale = len(mu), mu[0]
+    for q in np.concatenate([np.geomspace(1e-9, 0.5, 8), 1.0 - np.geomspace(1e-12, 0.5, 8)]):
+        x = stats.chi2.ppf(q, k)
+        assert abs(ref.weighted_chisq_sf(mu, scale * x) - stats.chi2.sf(x, k)) < 1e-10
+
+
+def test_exact_tail_oracle_matches_convolution():
+    """Unequal weights: mu1 chi2_1 + mu2 chi2_2 against its one-dimensional convolution."""
+    for mu1, mu2 in [(1.0, 0.3), (0.2, 1.0), (1.0, 1e-3)]:
+        for x in (0.01, 0.5, 2.0, 6.0, 15.0):
+            inner = integrate.quad(lambda t: stats.chi2.sf((x - mu2 * t) / mu1, 1) * stats.chi2.pdf(t, 2),
+                                   0.0, x / mu2, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            want = inner + stats.chi2.sf(x / mu2, 2)
+            assert abs(ref.weighted_chisq_sf([mu1, mu2, mu2], x) - want) < 1e-10
+
+
+def test_monte_carlo_tail_matches_exact_tail():
+    """Each report's critical values and p-value against the exact law of its own spectrum.
+
+    With S = sum mu_l Z_l^2, mu = lambda / (rho (1 - rho)), and F its exact
+    distribution function, the r-th smallest of J draws of S, r = ceil(J (1 -
+    alpha)), has F(S_(r)) ~ Beta(r, J + 1 - r), and J p ~ Binomial(J, P(S >=
+    (statistic - c) / xi)).  Each check holds at the two-sided level
+    TAIL_LEVEL.  One such interval is about +-107 ranks wide at J = 10000, so
+    the standardized F(S_(r)) of each kind are also summed over its
+    independent runs (one seed each) and held to the normal interval at the
+    same level; that sum moves by about 9 sd if the rank moves by 50.
+    """
+    alpha, draws, n, m = 0.05, 10000, 60, 45
+    r = math.ceil(draws * (1.0 - alpha))
+    beta = stats.beta(r, draws + 1 - r)
+    crit_band = beta.interval(1.0 - TAIL_LEVEL)
+    pooled = {"mvd": [], "mmd": []}
+    for d, sigma, rep in itertools.product((1, 5), (1e-3, 20.0), range(4)):
+        seed = 100 * d + 10 * rep + (sigma > 1)
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+        spec = KernelSpec(sigma=sigma)
+        g = build_gram_set(x, y, spec)
+        for report in run_tests(x, y, spec, kinds=("mvd", "mmd"), alpha=alpha, draws=draws, seed=seed):
+            w = spectral_weights(h_matrix(g) if report.kind == "mvd" else g.kc_x, n)
+            rho = n / (n + m)
+            assert fit_wprime(w, rho, report.v_sub, report.tau).xi == report.xi > 0.0
+            mu = w.lambdas / (rho * (1.0 - rho))
+
+            def cdf_of(wprime_value):
+                return 1.0 - ref.weighted_chisq_sf(mu, (wprime_value - report.c) / report.xi)
+
+            position = cdf_of(report.critical_value)
+            uncorrected_position = 1.0 - ref.weighted_chisq_sf(mu, report.critical_value_uncorrected)
+            assert crit_band[0] <= position <= crit_band[1]
+            assert crit_band[0] <= uncorrected_position <= crit_band[1]
+            low, high = stats.binom.interval(1.0 - TAIL_LEVEL, draws, 1.0 - cdf_of(report.statistic))
+            assert low <= round(draws * report.p_value) <= high
+            pooled[report.kind].append((position - beta.mean()) / beta.std())
+    bound = stats.norm.isf(TAIL_LEVEL / 2)
+    for kind, z in pooled.items():
+        assert abs(sum(z)) / math.sqrt(len(z)) <= bound, kind

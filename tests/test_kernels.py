@@ -1,5 +1,7 @@
 """Gram-matrix construction and centering."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -60,7 +62,8 @@ class TestKernelSpec:
         spec = KernelSpec(sigma=0.5)
         assert spec.log_scale == 0.0
 
-    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    # numpy's isfinite used to refuse "0.5", None, 10**400 and [0.5] without naming the field.
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, "0.5", None, 10**400, [0.5]])
     def test_rejects_bad_sigma(self, sigma):
         with pytest.raises(ValueError, match="sigma must be a positive finite real"):
             KernelSpec(sigma=sigma)
@@ -79,6 +82,18 @@ class TestKernelSpec:
     def test_rejects_a_bool_log_scale(self, log_scale):
         with pytest.raises(ValueError, match=f"log_scale must be finite and real, got {log_scale!r}"):
             KernelSpec(sigma=1.0, log_scale=log_scale)
+
+    @pytest.mark.parametrize("log_scale", ["0", None, 10**400, -(10**400)])
+    def test_rejects_a_log_scale_that_is_not_a_real(self, log_scale):
+        # numpy's isfinite used to refuse these without naming the field.
+        with pytest.raises(ValueError, match=re.escape(f"log_scale must be finite and real, got {log_scale!r}")):
+            KernelSpec(sigma=1.0, log_scale=log_scale)
+
+    @pytest.mark.parametrize("sigma,log_scale", [(np.float32(0.5), np.float32(-1.0)), (2, 3), (np.int64(2), np.int8(0)),
+                                                 (10**300, -(10**300))])
+    def test_accepts_numpy_and_int_reals(self, sigma, log_scale):
+        spec = KernelSpec(sigma=sigma, log_scale=log_scale)
+        assert (spec.sigma, spec.log_scale) == (sigma, log_scale)
 
     def test_frozen(self):
         spec = KernelSpec(sigma=1.0)

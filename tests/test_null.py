@@ -696,17 +696,24 @@ class TestFitWprime:
         with pytest.raises(ValueError, match="v_sub must be >= 0"):
             fit_wprime(_unit_weights([1.0]), 0.5, -1.0, 0.0)
 
-    @pytest.mark.parametrize("v_sub", [math.nan, math.inf, -math.inf])
+    # 10**400 used to escape as math.isfinite's OverflowError, "1.0" as its TypeError.
+    @pytest.mark.parametrize("v_sub", [math.nan, math.inf, -math.inf, 10**400, "1.0", None, True])
     def test_rejects_non_finite_v_sub(self, v_sub):
         with pytest.raises(ValueError, match=re.escape(f"v_sub must be >= 0 and finite, got {v_sub!r}")):
             fit_wprime(_unit_weights([1.0]), 0.5, v_sub, 0.0)
+
+    @pytest.mark.parametrize("rho", ["0.5", None, np.True_, 0.0, 1.0])
+    def test_rejects_a_rho_that_is_not_a_share(self, rho):
+        with pytest.raises(ValueError, match=re.escape(f"rho must be in (0, 1), got {rho!r}")):
+            fit_wprime(_unit_weights([1.0]), rho, 1.0, 0.0)
 
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError, match="tau must be >= 0"):
             fit_wprime(_unit_weights([1.0]), 0.5, 1.0, -0.1)
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 10**400])
     def test_rejects_non_finite_tau(self, tau):
+        # 10**400 used to escape as math.isfinite's OverflowError.
         with pytest.raises(ValueError, match="tau must be >= 0 and finite"):
             fit_wprime(_unit_weights([1.0]), 0.5, 1.0, tau)
 
@@ -745,6 +752,12 @@ class TestCriticalValue:
         na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0)
         with pytest.raises(ValueError, match="alpha must be in"):
             critical_value(na, 0.0)
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, math.nan])
+    def test_rejects_rho_outside_unit_interval(self, rho):
+        na = dataclasses.replace(fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0), rho=rho)
+        with pytest.raises(ValueError, match=re.escape(f"rho must be in (0, 1), got {rho!r}")):
+            critical_value(na, 0.05)
 
     def test_smaller_alpha_larger_critical_value(self):
         na = fit_wprime(_unit_weights([1.0, 0.3]), 0.5, 40.0, 0.1)

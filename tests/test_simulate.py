@@ -48,11 +48,15 @@ class TestSigmaFromRule:
         assert sigma_from_rule(0.4, 99) == 0.4
         assert type(sigma_from_rule(2, 5)) is float and sigma_from_rule(2, 5) == 2.0
 
-    @pytest.mark.parametrize("rule", [True, False])
+    @pytest.mark.parametrize("rule", [True, False, np.True_, np.False_])
     def test_rejects_a_bool(self, rule):
-        # True used to give sigma = 1.
+        # True used to give sigma = 1, and a numpy bool took the string branch to float(rule).
         with pytest.raises(ValueError, match=f"sigma must be a positive finite real, got {rule!r}"):
             sigma_from_rule(rule, 5)
+
+    @pytest.mark.parametrize("rule", [np.float32(0.5), np.float64(0.5), np.int64(2), np.uint8(2)])
+    def test_numpy_numbers_taken_at_face_value(self, rule):
+        assert sigma_from_rule(rule, 5) == float(rule) and type(sigma_from_rule(rule, 5)) is float
 
     def test_rejects_unknown_rule(self):
         with pytest.raises(ValueError, match="unknown sigma rule"):
