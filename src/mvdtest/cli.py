@@ -9,7 +9,6 @@ byte for byte.
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -19,8 +18,6 @@ from .closed_form import mmd_sq_isotropic, mvd_mmd_curves, mvd_sq_isotropic
 from .kernels import KernelSpec, as_sample
 from .null import SubsamplingPlan, run_tests
 from .simulate import _COLUMNS, sigma_from_rule, type1_power_table, variance_table
-
-SEED_ENV_VAR = "MVDTEST_SEED"
 
 
 def load_csv(path, has_header=False):
@@ -120,17 +117,7 @@ def _add_kernel_args(parser):
 
 
 def _add_seed_arg(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
-
-
-def _seed(args):
-    """--seed if given, else $MVDTEST_SEED, else 0."""
-    text = os.environ.get(SEED_ENV_VAR, "0") if args.seed is None else args.seed
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default: 0)")
 
 
 def build_parser():
@@ -254,7 +241,6 @@ def _report_payload(report, args, sigma, d):
 
 
 def cmd_test(args):
-    seed = _seed(args)
     x = load_csv(args.x, has_header=args.header)
     y = load_csv(args.y, has_header=args.header)
     d = x.shape[1]
@@ -264,7 +250,7 @@ def cmd_test(args):
     overrides = {name: getattr(args, name) for name in ("n1", "k", "l") if getattr(args, name) is not None}
     plan = dataclasses.replace(plan, **overrides)
     reports = run_tests(x, y, spec, kinds=_kinds(args.kind), plan=plan, tau=args.tau,
-                        alpha=args.alpha, draws=args.draws, seed=seed)
+                        alpha=args.alpha, draws=args.draws, seed=args.seed)
     payloads = [_report_payload(report, args, sigma, d) for report in reports]
     body = payloads[0] if len(payloads) == 1 else payloads
     _emit(json.dumps(body, indent=2) + "\n", args.out)
@@ -302,14 +288,13 @@ _SIMULATE_OPTIONS = dict.fromkeys(dest for _, options in _SIMULATE_TABLES.values
 
 
 def cmd_simulate(args):
-    seed = _seed(args)
     table, options = _SIMULATE_TABLES[args.table]
     given = {dest: getattr(args, dest) for dest in _SIMULATE_OPTIONS if getattr(args, dest) is not None}
     stray = [dest for dest in given if dest not in options]
     if stray:
         flags = ", ".join("--" + dest.replace("_", "-") for dest in stray)
         raise ValueError(f"--table {args.table} does not take {flags}")
-    result = table([(args.sigma, args.d, args.n, args.m)], kinds=_kinds(args.kind), seed=seed,
+    result = table([(args.sigma, args.d, args.n, args.m)], kinds=_kinds(args.kind), seed=args.seed,
                    **{options[dest]: value for dest, value in given.items()})
     if args.format == "json":
         text = json.dumps({"version": __version__, "config": result.config, "rows": list(result.rows)}, indent=2) + "\n"

@@ -63,11 +63,11 @@ class GaussianSpec:
 
     @classmethod
     def isotropic(cls, t, s, d):
-        """N(t * ones, s * I_d)."""
+        """N(t * ones, s * I_d), refusing a variance scale s that is not > 0 and finite."""
+        if not 0.0 < s < math.inf:
+            raise ValueError(f"variance scale s must be > 0 and finite, got {s!r}")
         _check_dim(d)
-        # np.diag, not s * np.eye(d): an infinite s times the zeros off the
-        # diagonal would warn about inf * 0 before the finite-cov check refuses it.
-        return cls(np.full(d, float(t)), np.diag(np.full(d, float(s))))
+        return cls(np.full(d, float(t)), float(s) * np.eye(d))
 
 
 def _standard(d, sigma, kinds):
@@ -94,21 +94,14 @@ def mvd_sq_gaussian(q, sigma, c=0.0):
     return _sq_distance("mvd", p, p_norms, q, sigma, c)
 
 
-def _isotropic(t, s, d):
-    """GaussianSpec.isotropic(t, s, d), refusing a variance scale s that is not > 0 and finite."""
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"variance scale s must be > 0 and finite, got {s!r}")
-    return GaussianSpec.isotropic(t, s, d)
-
-
 def mmd_sq_isotropic(t, s, d, sigma, c=0.0):
     """mmd_sq_gaussian on q = N(t * ones, s * I_d)."""
-    return mmd_sq_gaussian(_isotropic(t, s, d), sigma, c)
+    return mmd_sq_gaussian(GaussianSpec.isotropic(t, s, d), sigma, c)
 
 
 def mvd_sq_isotropic(t, s, d, sigma, c=0.0):
     """mvd_sq_gaussian on q = N(t * ones, s * I_d)."""
-    return mvd_sq_gaussian(_isotropic(t, s, d), sigma, c)
+    return mvd_sq_gaussian(GaussianSpec.isotropic(t, s, d), sigma, c)
 
 
 def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):
@@ -128,7 +121,7 @@ def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):
     i = 0
     for t in t_grid:
         for s in s_grid:
-            q = _isotropic(t, s, d)
+            q = GaussianSpec.isotropic(t, s, d)
             rows[i] = (t, s, _sq_distance("mmd", p, p_norms, q, sigma, c),
                        _sq_distance("mvd", p, p_norms, q, sigma, c))
             i += 1

@@ -14,7 +14,7 @@ cancellation are clamped to zero.
 
 import numpy as np
 
-from .kernels import _center
+from .kernels import _center, _check_distinct
 
 KINDS = ("mvd", "mmd")
 
@@ -30,14 +30,14 @@ def _check_kind(kind):
 
 def _check_kinds(kinds):
     """Validate a sequence of distinct statistic kinds; return it as a tuple."""
+    if isinstance(kinds, str):
+        raise ValueError(f"statistic kinds must be a sequence such as ('mvd',), got the string {kinds!r}")
     kinds = tuple(kinds)
     if not kinds:
         raise ValueError(f"need at least one statistic kind from {KINDS}")
     for kind in kinds:
         _check_kind(kind)
-    if len(set(kinds)) != len(kinds):
-        raise ValueError(f"statistic kinds must be distinct, got {kinds}")
-    return kinds
+    return _check_distinct(kinds, "statistic kinds")
 
 
 def _raw_statistics(kinds, k_x, k_y, k_xy):
@@ -94,17 +94,16 @@ def statistic(g, kind):
     return max(float(raw), 0.0)
 
 
-def h_matrix(g):
-    """Doubly-centered Hadamard square of the centered first-sample Gram block.
+def h_matrix(kc_x):
+    """Doubly-centered Hadamard square of the centered first-sample Gram block kc_x (a GramSet's kc_x).
 
     H = P_n (K~_X o K~_X) P_n.  Its rows sum to zero, so H / n carries one
     structural zero eigenvalue; the remaining spectrum estimates the weights
     of the covariance statistic's null law.
     """
-    return _h_matrix(g.kc_x)
-
-
-def _h_matrix(kc_x):
-    """h_matrix from the centered first-sample Gram block alone, centering its fresh square in place."""
+    shape = np.shape(kc_x)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"kc_x must be a square 2-d array (a GramSet's kc_x), got shape {shape}")
+    kc_x = np.asarray(kc_x, dtype=float)
     sq = kc_x * kc_x
     return _center(sq, out=sq)

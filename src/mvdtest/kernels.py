@@ -43,6 +43,14 @@ def _check_integer(value, name):
     return int(value)
 
 
+def _check_distinct(values, name):
+    """values as a tuple, refusing a repeated value."""
+    values = tuple(values)
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} must be distinct, got {values}")
+    return values
+
+
 def _is_finite_real(value):
     """True for a finite Python or numpy real number; False for a bool, a string, None and anything else.
 
@@ -58,6 +66,12 @@ def _check_sigma(sigma):
     """Refuse a bandwidth that is not a positive finite real; a bool is not one, though True > 0."""
     if not (_is_finite_real(sigma) and sigma > 0):
         raise ValueError(f"sigma must be a positive finite real, got {sigma!r}")
+
+
+def _check_log_scale(log_scale):
+    """Refuse a kernel scale exponent C that is not a finite real; a bool is not one."""
+    if not _is_finite_real(log_scale):
+        raise ValueError(f"log_scale must be finite and real, got {log_scale!r}")
 
 
 @dataclass(frozen=True)
@@ -77,8 +91,7 @@ class KernelSpec:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        if not _is_finite_real(self.log_scale):
-            raise ValueError(f"log_scale must be finite and real, got {self.log_scale!r}")
+        _check_log_scale(self.log_scale)
 
 
 def _rescale(value, log_scale, power):
@@ -86,9 +99,11 @@ def _rescale(value, log_scale, power):
 
     A discrepancy and everything measured in its units scale as e^C (mmd) or
     e^(2C) (mvd) under k' = e^C k; a variance of them as the square of that.
-    Raises a ValueError that names log_scale where the factor or the product
-    is not finite (e^(2C) overflows float64 from C of about 355 on).
+    Raises a ValueError that names log_scale where log_scale is not a finite
+    real (a bool is not one), or where the factor or the product is not
+    finite (e^(2C) overflows float64 from C of about 355 on).
     """
+    _check_log_scale(log_scale)
     try:
         scaled = math.exp(power * log_scale) * float(value)
     except OverflowError:  # math.exp overflows by raising, never by returning inf

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrepancy import (KINDS, _POWER, _block_terms, _check_kind, _check_kinds, _combine_terms,
-                          _h_matrix, _raw_statistics, _shift)
+from .discrepancy import (KINDS, _POWER, _block_terms, _check_kind, _check_kinds, _combine_terms, _raw_statistics,
+                          _shift, h_matrix)
 from .kernels import (_center, _check_integer, _is_finite_real, _is_integer, _rescale, as_sample, center_gram,
                       gram)
 
@@ -525,26 +525,6 @@ class NullApprox:
     xi: float
     c: float
 
-    @property
-    def uncorrected_mean(self):
-        """Mean of the raw spectrum law S (and of W', by construction)."""
-        return _law_moments(self.weights, self.rho)[0]
-
-    @property
-    def uncorrected_variance(self):
-        """Variance of the raw spectrum law S."""
-        return _law_moments(self.weights, self.rho)[1]
-
-    @property
-    def mean(self):
-        """Mean of W'."""
-        return self.xi * self.uncorrected_mean + self.c
-
-    @property
-    def variance(self):
-        """Variance of W'."""
-        return self.xi**2 * self.uncorrected_variance
-
 
 def _law_moments(w, rho):
     """Mean and variance of the spectrum law S = (1/(rho(1-rho))) * sum_l lambda_l Z_l^2."""
@@ -776,7 +756,7 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     for kind, v_sub in zip(kinds, v_subs):
         if kc_x is None:
             kc_x = _center(gram(x, x, spec, out=source), out=source)
-        source = _h_matrix(kc_x) if kind == "mvd" else kc_x
+        source = h_matrix(kc_x) if kind == "mvd" else kc_x
         kc_x = None
         kind_tau = default_tau(kind, plan.k / n) if taus[kind] is None else taus[kind]
         fits.append(fit_wprime(_spectral_weights(source, n), rho, v_sub, kind_tau))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .closed_form import _check_dim
 from .discrepancy import _check_kinds, _raw_statistics
-from .kernels import KernelSpec, _check_integer, _check_sigma, _is_integer, gram
+from .kernels import KernelSpec, _check_distinct, _check_integer, _check_sigma, _is_integer, gram
 from .null import (SubsamplingPlan, _check_seed, _resolve_taus, _run_lanes, _subsample_variance, _worker_count,
                    run_tests)
 
@@ -195,6 +195,7 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
         for div in divisors:
             plans[ci, div] = SubsamplingPlan.for_sample(n, divisor=div, iterations=iterations)
             plans[ci, div].validate(n)
+    divisors = _check_distinct(divisors, "divisors")
     rows = []
     exact = {}
     sub = {}
@@ -274,6 +275,7 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
         raise ValueError(f"need reps >= 1, got {reps}")
     for name in alternatives:
         _alternative_spec(name, 1)
+    alternatives = _check_distinct(alternatives, "alternatives")
     scenarios = ["null"] + list(alternatives)
     rows = []
     for ci, (rule, d, n, m) in enumerate(cells):

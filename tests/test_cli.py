@@ -16,7 +16,7 @@ from mvdtest import (
     run_test,
     type1_power_table,
 )
-from mvdtest.cli import SEED_ENV_VAR, _result_csv, load_csv, main, save_csv
+from mvdtest.cli import _result_csv, load_csv, main, save_csv
 from mvdtest.simulate import _COLUMNS
 
 
@@ -286,37 +286,19 @@ class TestTestCommand:
             main(["test", "--y", "y.csv"])
         assert exc.value.code == 2
 
-    def test_seed_env_var_default(self, capsys, sample_files, monkeypatch):
+    @pytest.mark.parametrize("value", ["123", "abc"])
+    def test_seed_environment_variable_is_ignored(self, capsys, sample_files, monkeypatch, value):
+        # --seed (default 0) is the only seed: MVDTEST_SEED once set the default.
         _, _, x_path, y_path = sample_files
-        argv = ["test", "--x", x_path, "--y", y_path, "--sigma", "0.5", "--draws", "500"]
-        monkeypatch.setenv(SEED_ENV_VAR, "123")
-        _, out_env, _ = _run(capsys, argv)
-        monkeypatch.delenv(SEED_ENV_VAR)
-        _, out_explicit, _ = _run(capsys, argv + ["--seed", "123"])
-        assert json.loads(out_env) == json.loads(out_explicit)
-        assert json.loads(out_env)["seed"] == 123
-
-    def test_non_integer_seed_env_var(self, capsys, sample_files, monkeypatch):
-        _, _, x_path, y_path = sample_files
-        monkeypatch.setenv(SEED_ENV_VAR, "abc")
-        for argv in (["test", "--x", x_path, "--y", y_path, "--draws", "500"],
-                     ["simulate", "--table", "variance", "--d", "2", "--n", "16", "--m", "16",
-                      "--reps", "20", "--divisors", "4", "--subsample-iters", "20"]):
-            code, out, err = _run(capsys, argv)
-            assert code == 1
-            assert out == ""
-            assert json.loads(err)["error"] == f"{SEED_ENV_VAR} must be an integer, got 'abc'"
-        code, out, err = _run(capsys, ["test", "--x", x_path, "--y", y_path, "--draws", "500",
-                                       "--seed", "4"])
-        assert code == 0 and err == ""
-        assert json.loads(out)["seed"] == 4
-        for argv in (["curves", "--d", "3"], ["closed-form"]):
-            code, out, err = _run(capsys, argv)
-            assert code == 0 and out and err == ""
-        with pytest.raises(SystemExit) as exc:
-            main(["--version"])
-        assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("mvdtest ")
+        runs = (["test", "--x", x_path, "--y", y_path, "--sigma", "0.5", "--draws", "500"],
+                ["simulate", "--table", "variance", "--d", "2", "--n", "16", "--m", "16",
+                 "--reps", "20", "--divisors", "4", "--subsample-iters", "20"])
+        want = [_run(capsys, argv) for argv in runs]
+        monkeypatch.setenv("MVDTEST_SEED", value)
+        assert [_run(capsys, argv) for argv in runs] == want
+        assert want[0][0] == 0 and want[0][2] == ""
+        assert json.loads(want[0][1])["seed"] == 0
+        assert '"seed": 0' in want[1][1]
 
 
 class TestCurvesCommand:
@@ -400,6 +382,15 @@ class TestClosedFormCommand:
         assert code == 1
         assert out == ""
         assert "log_scale" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("command", ["closed-form", "curves"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_log_scale_is_json_error(self, capsys, command, value):
+        # curves --log-scale=-inf once printed rows of 0.0 and exited 0.
+        code, out, err = _run(capsys, [command, f"--log-scale={value}"])
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == f"log_scale must be finite and real, got {float(value)!r}"
 
 
 class TestSimulateCommand:
@@ -497,6 +488,18 @@ class TestSimulateCommand:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"] == "--table power does not take --divisors"
+
+    @pytest.mark.parametrize("table,extra,error", [
+        ("variance", ["--divisors", "4,4"], "divisors must be distinct, got (4, 4)"),
+        ("power", ["--alternatives", "uniform,uniform"], "alternatives must be distinct, got ('uniform', 'uniform')"),
+    ])
+    def test_repeated_table_option_is_json_error(self, capsys, table, extra, error):
+        # Repeats once emitted every row of a divisor or an alternative twice.
+        args = self.VARIANCE_ARGS if table == "variance" else self.POWER_ARGS
+        code, out, err = _run(capsys, args + extra)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == error
 
     def test_unset_options_take_the_library_defaults(self, capsys):
         # Only the options given reach the table; the rest keep its defaults.

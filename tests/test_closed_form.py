@@ -77,16 +77,21 @@ class TestGaussianSpec:
         with pytest.raises(ValueError, match="cov must be finite"):
             GaussianSpec(np.zeros(2), bad * np.ones((2, 2)))
 
-    @pytest.mark.parametrize("t,s,match", [(0.5, math.inf, "cov must be finite"),
-                                           (0.5, -math.inf, "cov must be finite"),
-                                           (0.5, math.nan, "cov must be finite"),
+    @pytest.mark.parametrize("t,s,match", [(0.5, math.inf, "variance scale s must be > 0 and finite, got inf"),
+                                           (0.5, -math.inf, "variance scale s must be > 0 and finite, got -inf"),
+                                           (0.5, math.nan, "variance scale s must be > 0 and finite, got nan"),
                                            (math.inf, 2.0, "mean must be finite")])
     def test_isotropic_refuses_non_finite_without_warnings(self, t, s, match):
-        # s * np.eye(d) would compute inf * 0 off the diagonal and warn first.
+        # s * np.eye(d) would compute inf * 0 off the diagonal and warn if s were not refused first.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ValueError, match=re.escape(match)):
                 GaussianSpec.isotropic(t, s, 3)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0])
+    def test_isotropic_refuses_a_non_positive_scale(self, s):
+        with pytest.raises(ValueError, match=re.escape(f"variance scale s must be > 0 and finite, got {s!r}")):
+            GaussianSpec.isotropic(0.5, s, 3)
 
     def test_rejects_matrix_mean(self):
         with pytest.raises(ValueError, match="mean must be a vector"):
@@ -283,6 +288,17 @@ class TestLogScaleFactor:
             mmd_sq_gaussian(q, 0.5, c=800.0)
         with pytest.raises(ValueError, match="log_scale"):
             mvd_mmd_curves([0.0, 1.0], [1.0], 2, 0.5, c=800.0)
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, True])
+    def test_refuses_a_scale_that_is_not_a_finite_real(self, c):
+        # c = -inf once returned 0.0, nan was blamed on overflow, and True ran as c = 1.
+        q = GaussianSpec.isotropic(1.0, 1.0, 2)
+        calls = [lambda: mvd_sq_isotropic(1.0, 1.0, 2, 0.5, c=c), lambda: mmd_sq_isotropic(1.0, 1.0, 2, 0.5, c=c),
+                 lambda: mvd_sq_gaussian(q, 0.5, c=c), lambda: mmd_sq_gaussian(q, 0.5, c=c),
+                 lambda: mvd_mmd_curves([0.0, 1.0], [1.0], 2, 0.5, c=c)]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"log_scale must be finite and real, got {c!r}")):
+                call()
 
     def test_largest_finite_scale_still_evaluates(self):
         value = mvd_sq_isotropic(1.0, 1.0, 2, 0.5, c=300.0)

@@ -1,6 +1,7 @@
 """MVD and MMD statistics on Gram sets."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -172,7 +173,7 @@ class TestStatisticDispatch:
 class TestHMatrix:
     def test_frozen_value(self):
         g = build_gram_set(H_X, H_X, KernelSpec(sigma=0.8))
-        np.testing.assert_allclose(h_matrix(g), H_FROZEN, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(h_matrix(g.kc_x), H_FROZEN, rtol=1e-12, atol=1e-15)
 
     def test_matches_projection_reference(self):
         rng = np.random.default_rng(41)
@@ -184,33 +185,33 @@ class TestHMatrix:
             c = rng.uniform(-0.4, 0.4)
             g = build_gram_set(x, x, KernelSpec(sigma=sigma, log_scale=c))
             want = ref.h_by_projection(x, sigma, c)
-            np.testing.assert_allclose(h_matrix(g), want, rtol=1e-11, atol=1e-14)
+            np.testing.assert_allclose(h_matrix(g.kc_x), want, rtol=1e-11, atol=1e-14)
 
     def test_annihilates_ones(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=(9, 2))
-        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)))
+        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)).kc_x)
         assert np.abs(h @ np.ones(9)).max() < 1e-13
 
     def test_symmetric(self):
         rng = np.random.default_rng(43)
         x = rng.normal(size=(8, 3))
-        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)))
+        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)).kc_x)
         np.testing.assert_allclose(h, h.T, atol=1e-15)
 
     def test_built_from_left_sample_only(self):
         rng = np.random.default_rng(44)
         x = rng.normal(size=(6, 2))
         spec = KernelSpec(sigma=0.5)
-        a = h_matrix(build_gram_set(x, rng.normal(size=(5, 2)), spec))
-        b = h_matrix(build_gram_set(x, rng.normal(size=(11, 2)), spec))
+        a = h_matrix(build_gram_set(x, rng.normal(size=(5, 2)), spec).kc_x)
+        b = h_matrix(build_gram_set(x, rng.normal(size=(11, 2)), spec).kc_x)
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_scales_as_exp_2c(self):
         rng = np.random.default_rng(45)
         x = rng.normal(size=(7, 2))
-        lo = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)))
-        hi = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5, log_scale=0.4)))
+        lo = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)).kc_x)
+        hi = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5, log_scale=0.4)).kc_x)
         np.testing.assert_allclose(hi, math.exp(0.8) * lo, rtol=1e-12, atol=1e-16)
 
     def test_leaves_the_gram_set_unchanged(self):
@@ -219,9 +220,21 @@ class TestHMatrix:
         g = build_gram_set(rng.normal(size=(8, 2)), rng.normal(size=(6, 2)), KernelSpec(sigma=0.5))
         blocks = (g.k_x, g.k_y, g.k_xy, g.kc_x)
         before = [b.tobytes() for b in blocks]
-        h = h_matrix(g)
+        h = h_matrix(g.kc_x)
         assert [b.tobytes() for b in blocks] == before
         assert not any(np.shares_memory(h, b) for b in blocks)
+
+    def test_refuses_anything_but_a_square_matrix(self):
+        # A GramSet itself, as h_matrix once took, is named as the wrong argument.
+        g = build_gram_set(H_X, H_X, KernelSpec(sigma=0.8))
+        for bad, shape in [(g, ()), (g.k_xy[:, :-1], (4, 3)), (np.ones(4), (4,)), (np.ones((2, 2, 2)), (2, 2, 2))]:
+            with pytest.raises(ValueError, match=re.escape(f"kc_x must be a square 2-d array (a GramSet's kc_x), "
+                                                           f"got shape {shape}")):
+                h_matrix(bad)
+
+    def test_takes_a_nested_list(self):
+        g = build_gram_set(H_X, H_X, KernelSpec(sigma=0.8))
+        assert h_matrix(g.kc_x.tolist()).tobytes() == h_matrix(g.kc_x).tobytes()
 
 
 class TestCoreMatchesGramSetPath:

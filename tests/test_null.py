@@ -39,6 +39,7 @@ from mvdtest import (
 )
 from mvdtest.kernels import _rescale, gram_set_from_blocks
 from mvdtest.discrepancy import _POWER, statistic
+from mvdtest.null import _law_moments
 
 CHI2_1_Q95 = 3.841458820694124  # 0.95 quantile of chi-square with 1 degree of freedom
 
@@ -181,7 +182,7 @@ class TestSpectralWeights:
         rng = np.random.default_rng(52)
         x = rng.normal(size=(20, 2))
         g = build_gram_set(x, x, KernelSpec(sigma=0.5))
-        w = spectral_weights(h_matrix(g), 20)
+        w = spectral_weights(h_matrix(g.kc_x), 20)
         assert w.lambdas.shape == (19,)
         assert (w.lambdas >= 0).all()
         assert (np.diff(w.lambdas) <= 1e-15).all()
@@ -189,14 +190,14 @@ class TestSpectralWeights:
     def test_trace_identity(self):
         rng = np.random.default_rng(53)
         x = rng.normal(size=(30, 3))
-        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.4)))
+        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.4)).kc_x)
         w = spectral_weights(h, 30)
         np.testing.assert_allclose(w.trace + w.clipped_mass, np.trace(h) / 30, rtol=1e-10)
 
     def test_clip_accounting_is_tiny_for_psd_source(self):
         rng = np.random.default_rng(54)
         x = rng.normal(size=(25, 2))
-        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.6)))
+        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.6)).kc_x)
         w = spectral_weights(h, 25)
         assert w.clipped_mass <= 1e-6 * np.trace(h) / 25
 
@@ -219,7 +220,7 @@ class TestSpectralWeights:
 
     def test_leaves_its_argument_unchanged(self):
         x = np.random.default_rng(55).normal(size=(12, 2))
-        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)))
+        h = h_matrix(build_gram_set(x, x, KernelSpec(sigma=0.5)).kc_x)
         before = h.tobytes()
         w = spectral_weights(h, 12)
         assert h.tobytes() == before
@@ -663,13 +664,13 @@ class TestFitWprime:
         assert na.c == 2.0
 
     def test_moment_properties(self):
+        # W' = xi * S + c keeps S's mean and takes the variance (1 + tau) * v_sub.
         na = fit_wprime(_unit_weights([0.7, 0.2]), 0.4, 5.0, 0.3)
-        mu_s = 0.9 / (0.4 * 0.6)
-        v_s = 2 * (0.49 + 0.04) / (0.4 * 0.6) ** 2
-        np.testing.assert_allclose(na.uncorrected_mean, mu_s, rtol=1e-12)
-        np.testing.assert_allclose(na.uncorrected_variance, v_s, rtol=1e-12)
-        np.testing.assert_allclose(na.mean, na.xi * mu_s + na.c, rtol=1e-12)
-        np.testing.assert_allclose(na.variance, (1 + 0.3) * 5.0, rtol=1e-12)
+        mu_s, v_s = _law_moments(na.weights, na.rho)
+        np.testing.assert_allclose(mu_s, 0.9 / (0.4 * 0.6), rtol=1e-12)
+        np.testing.assert_allclose(v_s, 2 * (0.49 + 0.04) / (0.4 * 0.6) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(na.xi * mu_s + na.c, mu_s, rtol=1e-12)
+        np.testing.assert_allclose(na.xi**2 * v_s, (1 + 0.3) * 5.0, rtol=1e-12)
 
     def test_law_holds_no_draw_count(self):
         # critical_value takes the draw count; the fitted law is only the law.
@@ -837,7 +838,7 @@ class TestRunTest:
         x, y = self._samples()
         rep = run_test(x, y, KernelSpec(sigma=0.5), kind="mvd", alpha=0.05, draws=2000, seed=21)
         # recompute the corrected draws exactly as the runner does
-        w = spectral_weights(h_matrix(build_gram_set(x, y, KernelSpec(sigma=0.5))), 40)
+        w = spectral_weights(h_matrix(build_gram_set(x, y, KernelSpec(sigma=0.5)).kc_x), 40)
         na = fit_wprime(w, 40 / 76, rep.v_sub, rep.tau)
         s = sample_weighted_chisq(na.weights, na.rho, 2000, seed=[21, 1])
         wprime = na.xi * s + na.c
@@ -866,7 +867,7 @@ class TestRunTest:
         for rep in reports:
             kind = rep.kind
             power = _POWER[kind]
-            w = spectral_weights(h_matrix(g) if kind == "mvd" else g.kc_x, g.n)
+            w = spectral_weights(h_matrix(g.kc_x) if kind == "mvd" else g.kc_x, g.n)
             v = subsample_variance(x, unit, kind, plan, g.m, seed=21)
             law = fit_wprime(w, rho, v, tau=default_tau(kind, plan.k / g.n))
             stat = (g.n + g.m) * statistic(g, kind)
@@ -1033,6 +1034,7 @@ class TestRunTests:
         ((), "at least one statistic kind"),
         (("mvd", "mvd"), "must be distinct"),
         (("mvd", "energy"), "unknown statistic kind"),
+        ("mvd", re.escape("statistic kinds must be a sequence such as ('mvd',), got the string 'mvd'")),
     ])
     def test_rejects_bad_kinds(self, kinds, match):
         x, y = self._samples()

@@ -248,6 +248,19 @@ class TestVarianceTable:
         with pytest.raises(ValueError, match=want):
             self._run(divisors=(4, divisor))
 
+    def test_rejects_repeated_divisors_before_any_replication(self, monkeypatch):
+        # (4, 4) once emitted every subsample row and every slope row twice.
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before the divisors were checked")
+        monkeypatch.setattr(mvdtest.simulate, "gram", no_replication)
+        with pytest.raises(ValueError, match=re.escape("divisors must be distinct, got (4, 4)")):
+            self._run(divisors=(4, 4))
+
+    def test_rejects_a_bare_string_of_kinds(self):
+        # "mmd" was read as the kinds "m", "m", "d".
+        with pytest.raises(ValueError, match=re.escape("a sequence such as ('mvd',), got the string 'mmd'")):
+            self._run(kinds="mmd")
+
     def test_smallest_cell_runs_every_divisor(self):
         res = self._run(cells=[("d^-3/4", 2, 4, 2)], divisors=(4, 6, 8))
         subs = [r for r in res.rows if r["estimate"] == "subsample_variance"]
@@ -366,6 +379,14 @@ class TestTypeOnePowerTable:
     def test_rejects_unknown_alternative(self):
         with pytest.raises(ValueError, match="unknown alternative"):
             self._run(alternatives=("cauchy",))
+
+    def test_rejects_repeated_alternatives_before_any_replication(self, monkeypatch):
+        # A repeated alternative once gave two rows of that name with different rates.
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before the alternatives were checked")
+        monkeypatch.setattr(mvdtest.simulate, "sample", no_replication)
+        with pytest.raises(ValueError, match=re.escape("alternatives must be distinct, got ('uniform', 'uniform')")):
+            self._run(alternatives=("uniform", "uniform"))
 
     def test_rejects_duplicate_kinds(self):
         # A repeated kind would count its rejections twice.
