@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrepancy import _POWER
-from .kernels import _check_sigma, _is_integer, _rescale
+from .kernels import _check_log_scale, _check_sigma, _is_finite_real, _is_integer, _rescale
 
 
 def _check_dim(d):
@@ -63,15 +63,20 @@ class GaussianSpec:
 
     @classmethod
     def isotropic(cls, t, s, d):
-        """N(t * ones, s * I_d), refusing a variance scale s that is not > 0 and finite."""
-        if not 0.0 < s < math.inf:
+        """N(t * ones, s * I_d), refusing a variance scale s that is not a finite real > 0 (a bool is not one)."""
+        if not (_is_finite_real(s) and s > 0.0):
             raise ValueError(f"variance scale s must be > 0 and finite, got {s!r}")
         _check_dim(d)
         return cls(np.full(d, float(t)), float(s) * np.eye(d))
 
 
-def _standard(d, sigma, kinds):
-    """P = N(0, I_d) and {kind: |P|^2} for each kind's operator, shared by every q compared with P."""
+def _standard(d, sigma, kinds, c):
+    """P = N(0, I_d) and {kind: |P|^2} for each kind's operator, shared by every q compared with P.
+
+    Every closed form enters here before it evaluates a point, so this is
+    where the kernel scale c is checked.
+    """
+    _check_log_scale(c)
     p = GaussianSpec.standard(d)
     return p, {kind: _OPERATORS[kind][0](p, sigma) for kind in kinds}
 
@@ -84,13 +89,13 @@ def _sq_distance(kind, p, p_norms, q, sigma, c):
 
 def mmd_sq_gaussian(q, sigma, c=0.0):
     """Squared mean-embedding distance |P|^2 + |q|^2 - 2<P, q> between P = N(0, I_d) and q, times e^c."""
-    p, p_norms = _standard(q.dim, sigma, ("mmd",))
+    p, p_norms = _standard(q.dim, sigma, ("mmd",), c)
     return _sq_distance("mmd", p, p_norms, q, sigma, c)
 
 
 def mvd_sq_gaussian(q, sigma, c=0.0):
     """Squared covariance-operator distance |P|^2 + |q|^2 - 2<P, q> between P = N(0, I_d) and q, times e^{2c}."""
-    p, p_norms = _standard(q.dim, sigma, ("mvd",))
+    p, p_norms = _standard(q.dim, sigma, ("mvd",), c)
     return _sq_distance("mvd", p, p_norms, q, sigma, c)
 
 
@@ -111,13 +116,12 @@ def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):
     mvd_sq), t varying slowest.  Useful for plotting how the two
     discrepancies order as the kernel scale c changes.
     """
-    _check_dim(d)
+    p, p_norms = _standard(d, sigma, ("mmd", "mvd"), c)
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
     if not (np.isfinite(t_grid).all() and np.isfinite(s_grid).all()):
         raise ValueError("grids must be finite")
     rows = np.empty((t_grid.size * s_grid.size, 4))
-    p, p_norms = _standard(d, sigma, ("mmd", "mvd"))
     i = 0
     for t in t_grid:
         for s in s_grid:
@@ -177,9 +181,7 @@ def cov_operator_inner(p, q, sigma):
     repeated draw on one side, and the squared mean-embedding inner product.
     """
     _check_sigma(sigma)
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    i1 = mean_embedding_inner(p, q, 2.0 * sigma)
+    i1 = mean_embedding_inner(p, q, 2.0 * sigma)  # checks the dimensions first
     i2 = _one_two_term(p, q, sigma)
     i3 = _one_two_term(q, p, sigma)
     i4 = mean_embedding_inner(p, q, sigma) ** 2

@@ -30,14 +30,12 @@ def _check_kind(kind):
 
 def _check_kinds(kinds):
     """Validate a sequence of distinct statistic kinds; return it as a tuple."""
-    if isinstance(kinds, str):
-        raise ValueError(f"statistic kinds must be a sequence such as ('mvd',), got the string {kinds!r}")
-    kinds = tuple(kinds)
+    kinds = _check_distinct(kinds, "statistic kinds", ("mvd",))
     if not kinds:
         raise ValueError(f"need at least one statistic kind from {KINDS}")
     for kind in kinds:
         _check_kind(kind)
-    return _check_distinct(kinds, "statistic kinds")
+    return kinds
 
 
 def _raw_statistics(kinds, k_x, k_y, k_xy):

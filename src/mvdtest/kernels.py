@@ -43,10 +43,16 @@ def _check_integer(value, name):
     return int(value)
 
 
-def _check_distinct(values, name):
-    """values as a tuple, refusing a repeated value."""
+def _check_distinct(values, name, example):
+    """values as a tuple; refuse a bare string, whose message suggests example instead, and a repeated value.
+
+    Repeats are found by equality, not by hashing, so an unhashable value
+    reaches the caller's own check instead of raising a TypeError here.
+    """
+    if isinstance(values, str):
+        raise ValueError(f"{name} must be a sequence such as {example!r}, got the string {values!r}")
     values = tuple(values)
-    if len(set(values)) != len(values):
+    if any(value in values[:i] for i, value in enumerate(values)):
         raise ValueError(f"{name} must be distinct, got {values}")
     return values
 
@@ -99,11 +105,11 @@ def _rescale(value, log_scale, power):
 
     A discrepancy and everything measured in its units scale as e^C (mmd) or
     e^(2C) (mvd) under k' = e^C k; a variance of them as the square of that.
-    Raises a ValueError that names log_scale where log_scale is not a finite
-    real (a bool is not one), or where the factor or the product is not
-    finite (e^(2C) overflows float64 from C of about 355 on).
+    log_scale must already be checked (_check_log_scale), as KernelSpec and
+    closed_form._standard do.  Raises a ValueError that names log_scale where
+    the factor or the product is not finite (e^(2C) overflows float64 from C
+    of about 355 on).
     """
-    _check_log_scale(log_scale)
     try:
         scaled = math.exp(power * log_scale) * float(value)
     except OverflowError:  # math.exp overflows by raising, never by returning inf

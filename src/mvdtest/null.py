@@ -77,6 +77,11 @@ def _check_seed(seed):
     return seed
 
 
+def _check_draw_seed(seed):
+    """The seed of a public draw: a non-negative int, or a list or tuple of them such as [s, 1], as a list."""
+    return [_check_seed(part) for part in seed] if isinstance(seed, (list, tuple)) else _check_seed(seed)
+
+
 def _pcg64_states(prefix, indices):
     """bit_generator.state of default_rng([*prefix, i]) for each i in indices, in one pass.
 
@@ -160,7 +165,7 @@ def default_tau(kind, fraction):
     The table has entries at k/n = 1/4, 1/6, 1/8; the nearest one is used.
     """
     _check_kind(kind)
-    if not 0.0 < fraction < 1.0:
+    if not (_is_finite_real(fraction) and 0.0 < fraction < 1.0):
         raise ValueError(f"subsample fraction must be in (0, 1), got {fraction!r}")
     table = TAU_TABLE[kind]
     nearest = min(table, key=lambda r: abs(r - fraction))
@@ -300,7 +305,8 @@ def _check_rho(rho):
 def sample_weighted_chisq(w, rho, j, seed=0):
     """Draw j variates of S = (1/(rho(1-rho))) * sum_l lambda_l Z_l^2.
 
-    Z are i.i.d. standard normal; draws are deterministic given the seed.  The
+    Z are i.i.d. standard normal; draws are deterministic given the seed, a
+    non-negative int or a list or tuple of them (such as [s, 1]).  The
     internal block size fixes which normals each draw uses, but not the order
     in which BLAS sums its products, so it can move draws by round-off.
     """
@@ -308,7 +314,7 @@ def sample_weighted_chisq(w, rho, j, seed=0):
     j = _check_integer(j, "j")
     if j < 1:
         raise ValueError(f"need at least one draw, got j={j}")
-    return _weighted_chisq_draws([np.asarray(w.lambdas, dtype=float)], rho, j, seed)[0]
+    return _weighted_chisq_draws([np.asarray(w.lambdas, dtype=float)], rho, j, _check_draw_seed(seed))[0]
 
 
 def _weighted_chisq_draws(lams, rho, j, seed):
@@ -585,15 +591,18 @@ def _resolve_taus(tau, kinds):
 
 
 def _quantile(values, alpha):
-    """Empirical (1 - alpha)-quantile: the value at ascending rank ceil(J (1 - alpha)), clamped to [1, J]."""
-    r = min(max(math.ceil(values.size * (1.0 - alpha)), 1), values.size)
+    """Empirical (1 - alpha)-quantile: the value at ascending rank ceil(J (1 - alpha)).
+
+    _check_draws has put alpha in (0, 1), so that rank is already in [1, J].
+    """
+    r = math.ceil(values.size * (1.0 - alpha))
     return float(np.partition(values, r - 1)[r - 1])
 
 
 def _check_draws(draws, alpha):
     """draws as a Python int, checked to resolve the (1 - alpha)-quantile for an alpha in (0, 1)."""
     draws = _check_integer(draws, "draws")
-    if not 0.0 < alpha < 1.0:
+    if not (_is_finite_real(alpha) and 0.0 < alpha < 1.0):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
     if draws < math.ceil(1.0 / alpha):
         raise ValueError(f"draws={draws} is too small for alpha={alpha}")
@@ -629,7 +638,7 @@ def critical_value(na, alpha, seed=0, draws=10000):
     """
     draws = _check_draws(draws, alpha)
     _check_rho(na.rho)
-    return _null_tails([na], [math.inf], alpha, draws, seed)[0][0]
+    return _null_tails([na], [math.inf], alpha, draws, _check_draw_seed(seed))[0][0]
 
 
 @dataclass(frozen=True)

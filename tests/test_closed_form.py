@@ -88,7 +88,8 @@ class TestGaussianSpec:
             with pytest.raises(ValueError, match=re.escape(match)):
                 GaussianSpec.isotropic(t, s, 3)
 
-    @pytest.mark.parametrize("s", [0.0, -1.0])
+    # "1" raised a TypeError that named no field, and True ran as s = 1.
+    @pytest.mark.parametrize("s", [0.0, -1.0, "1", True])
     def test_isotropic_refuses_a_non_positive_scale(self, s):
         with pytest.raises(ValueError, match=re.escape(f"variance scale s must be > 0 and finite, got {s!r}")):
             GaussianSpec.isotropic(0.5, s, 3)
@@ -299,6 +300,13 @@ class TestLogScaleFactor:
         for call in calls:
             with pytest.raises(ValueError, match=re.escape(f"log_scale must be finite and real, got {c!r}")):
                 call()
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, True])
+    def test_an_empty_grid_refuses_a_bad_scale(self, c):
+        # c was checked only per grid point, so an empty grid took any c.
+        assert mvd_mmd_curves([], [1.0], 2, 0.5).shape == (0, 4)
+        with pytest.raises(ValueError, match=re.escape(f"log_scale must be finite and real, got {c!r}")):
+            mvd_mmd_curves([], [1.0], 2, 0.5, c=c)
 
     def test_largest_finite_scale_still_evaluates(self):
         value = mvd_sq_isotropic(1.0, 1.0, 2, 0.5, c=300.0)

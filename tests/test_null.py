@@ -63,6 +63,14 @@ def _unit_weights(values):
     return SpectralWeights(lambdas=lam, trace=float(lam.sum()), clipped_count=0, clipped_mass=0.0)
 
 
+# Seeds the public draw functions refuse by name; numpy named no field for -1,
+# raised a TypeError for 1.5 and "abc", and ran True as 1.
+BAD_DRAW_SEEDS = [pytest.param(-1, "^seed must be a non-negative integer, got -1$", id="negative"),
+                  pytest.param(True, "^seed must be an integer, got True$", id="bool"),
+                  pytest.param(1.5, "^seed must be an integer, got 1.5$", id="float"),
+                  pytest.param("abc", "^seed must be an integer, got 'abc'$", id="string")]
+
+
 class TestDefaultTau:
     def test_table_values(self):
         assert TAU_TABLE["mvd"] == {0.25: 0.69348, 1 / 6: 0.34798, 0.125: 0.30928}
@@ -93,6 +101,10 @@ class TestDefaultTau:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown statistic kind"):
             default_tau("energy", 0.25)
+
+    def test_rejects_a_fraction_that_is_not_a_real(self):
+        with pytest.raises(ValueError, match=re.escape("subsample fraction must be in (0, 1), got '0.1'")):
+            default_tau("mvd", "0.1")
 
 
 class TestSubsamplingPlan:
@@ -319,6 +331,11 @@ class TestSampleWeightedChisq:
     def test_rejects_zero_draws(self):
         with pytest.raises(ValueError, match="at least one draw"):
             sample_weighted_chisq(_unit_weights([1.0]), 0.5, 0)
+
+    @pytest.mark.parametrize("seed,match", BAD_DRAW_SEEDS)
+    def test_rejects_a_bad_seed(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            sample_weighted_chisq(_unit_weights([1.0]), 0.5, 10, seed=seed)
 
 
 class TestSubsampleVariance:
@@ -754,6 +771,19 @@ class TestCriticalValue:
         with pytest.raises(ValueError, match="alpha must be in"):
             critical_value(na, 0.0)
 
+    @pytest.mark.parametrize("alpha", ["0.05", None])
+    def test_rejects_an_alpha_that_is_not_a_real(self, alpha):
+        na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be in (0, 1), got {alpha!r}")):
+            critical_value(na, alpha)
+
+    @pytest.mark.parametrize("seed,match", BAD_DRAW_SEEDS + [
+        pytest.param([7, -1], "^seed must be a non-negative integer, got -1$", id="negative-part")])
+    def test_rejects_a_bad_seed(self, seed, match):
+        na = fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0)
+        with pytest.raises(ValueError, match=match):
+            critical_value(na, 0.05, seed=seed)
+
     @pytest.mark.parametrize("rho", [0.0, 1.0, math.nan])
     def test_rejects_rho_outside_unit_interval(self, rho):
         na = dataclasses.replace(fit_wprime(_unit_weights([1.0]), 0.5, 32.0, 0.0), rho=rho)
@@ -903,6 +933,12 @@ class TestRunTest:
         x, y = self._samples()
         with pytest.raises(ValueError, match="alpha must be in"):
             run_test(x, y, KernelSpec(sigma=0.5), alpha=1.5)
+
+    @pytest.mark.parametrize("alpha", ["0.05", None])
+    def test_rejects_an_alpha_that_is_not_a_real(self, alpha):
+        x, y = self._samples()
+        with pytest.raises(ValueError, match=re.escape(f"alpha must be in (0, 1), got {alpha!r}")):
+            run_tests(x, y, KernelSpec(sigma=0.5), alpha=alpha, draws=200)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="different dimensions"):

@@ -388,6 +388,19 @@ class TestTypeOnePowerTable:
         with pytest.raises(ValueError, match=re.escape("alternatives must be distinct, got ('uniform', 'uniform')")):
             self._run(alternatives=("uniform", "uniform"))
 
+    def test_rejects_a_bare_string_of_alternatives_before_any_replication(self, monkeypatch):
+        # "uniform" was read as the alternatives "u", "n", ... and refused as "unknown alternative 'u'".
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before the alternatives were checked")
+        monkeypatch.setattr(mvdtest.simulate, "sample", no_replication)
+        want = re.escape("alternatives must be a sequence such as ('uniform',), got the string 'uniform'")
+        with pytest.raises(ValueError, match=want):
+            self._run(alternatives="uniform")
+
+    def test_rejects_an_alpha_that_is_not_a_real(self):
+        with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1), got '0.05'")):
+            self._run(alpha="0.05", reps=1, alternatives=())
+
     def test_rejects_duplicate_kinds(self):
         # A repeated kind would count its rejections twice.
         with pytest.raises(ValueError, match="distinct"):
