@@ -172,6 +172,14 @@ def default_tau(kind, fraction):
     return table[nearest]
 
 
+def _check_iterations(iterations):
+    """iterations as a Python int: a subsampled variance needs at least 2."""
+    iterations = _check_integer(iterations, "iterations")
+    if iterations < 2:
+        raise ValueError(f"need at least 2 iterations, got {iterations}")
+    return iterations
+
+
 @dataclass(frozen=True)
 class SubsamplingPlan:
     """How to subsample the first sample when estimating the null variance.
@@ -190,14 +198,13 @@ class SubsamplingPlan:
     iterations: int = 1000
 
     def __post_init__(self):
-        for name in ("n1", "k", "l", "iterations"):
+        for name in ("n1", "k", "l"):
             object.__setattr__(self, name, _check_integer(getattr(self, name), name))
+        object.__setattr__(self, "iterations", _check_iterations(self.iterations))
         if self.k < 2 or self.l < 2:
             raise ValueError(f"subsample sizes must be >= 2, got k={self.k}, l={self.l}")
         if self.k > self.n1:
             raise ValueError(f"k={self.k} exceeds the first pool (n1={self.n1})")
-        if self.iterations < 2:
-            raise ValueError(f"need at least 2 iterations, got {self.iterations}")
 
     def validate(self, n):
         """Check the plan is feasible for a sample with n rows."""
@@ -247,6 +254,7 @@ def spectral_weights(source, n):
     magnitude.  It is left unchanged: the weights come from one private copy,
     scaled in place.
     """
+    n = _check_integer(n, "n")
     a = np.array(source, dtype=float)
     if a.ndim != 2 or a.shape != (n, n):
         raise ValueError(f"source must be {n} x {n}, got shape {a.shape}")

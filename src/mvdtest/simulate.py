@@ -19,8 +19,8 @@ import numpy as np
 from .closed_form import _check_dim
 from .discrepancy import _check_kinds, _raw_statistics
 from .kernels import KernelSpec, _check_distinct, _check_integer, _check_sigma, _is_integer, gram
-from .null import (SubsamplingPlan, _check_seed, _resolve_taus, _run_lanes, _subsample_variance, _worker_count,
-                   run_tests)
+from .null import (SubsamplingPlan, _check_draw_seed, _check_draws, _check_iterations, _check_seed, _resolve_taus,
+                   _run_lanes, _subsample_variance, _worker_count, run_tests)
 
 # Named bandwidth presets: sigma = d ** -exponent.
 SIGMA_RULES = {"d^-3/4": 0.75, "d^-7/8": 0.875, "d^-1": 1.0, "d^-2": 2.0}
@@ -30,6 +30,9 @@ _COLUMNS = ("table", "sigma_rule", "sigma", "d", "n", "m", "kind", "estimate",
             "scenario", "divisor", "k", "l", "reps", "value", "se")
 
 _FAMILIES = ("std_normal", "uniform_unit", "centered_exponential")
+
+# The family each alternative of type1_power_table draws Y from.
+_ALTERNATIVES = {"uniform": "uniform_unit", "exponential": "centered_exponential"}
 
 
 def sigma_from_rule(rule, d):
@@ -88,7 +91,7 @@ def sample(dist, n, seed=0):
     n = _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1 rows, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_draw_seed(seed))
     shape = (n, dist.dim)
     if dist.family == "std_normal":
         return rng.standard_normal(shape)
@@ -129,16 +132,23 @@ def _derived_seed(*key):
     return int(np.random.SeedSequence(list(key)).generate_state(1)[0])
 
 
-def _check_cells(cells):
-    """The cells (sigma_rule, d, n, m) as a list, each checked before any replication runs."""
+def _check_cells(cells, divisors, iterations):
+    """Each cell (sigma_rule, d, n, m) checked and resolved before any replication runs.
+
+    A cell becomes (rule, d, n, m, spec, plans): its kernel and its subsampling
+    plan for each divisor.
+    """
     cells = list(cells)
     if not cells:
         raise ValueError("need at least one cell")
+    resolved = []
     for ci, (rule, d, n, m) in enumerate(cells):
         if not all(map(_is_integer, (d, n, m))) or d < 1 or n < 4 or m < 2:
             raise ValueError(f"cell {ci} {tuple(cells[ci])}: need integers d >= 1, n >= 4 and m >= 2")
-        sigma_from_rule(rule, d)
-    return cells
+        spec = KernelSpec(sigma=sigma_from_rule(rule, d))
+        plans = {div: SubsamplingPlan.for_sample(n, divisor=div, iterations=iterations) for div in divisors}
+        resolved.append((rule, d, n, m, spec, plans))
+    return resolved
 
 
 def _exact_scaled(kinds, spec, n, m, d, key, reps):
@@ -183,37 +193,32 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     exact replications run on one lane per available CPU; each has its own
     stream, so the rows equal those of a serial run bit for bit.
     """
-    cells = _check_cells(cells)
+    iterations = _check_iterations(iterations)
+    # Each divisor is checked, in every cell's plans, before repeats are.
+    cells = _check_cells(cells, divisors, iterations)
+    divisors = _check_distinct(divisors, "divisors", (4,))
     kinds = _check_kinds(kinds)
     seed = _check_seed(seed)
     reps = _check_integer(reps, "reps")
     if reps < 2:
         raise ValueError(f"need reps >= 2 for a variance, got {reps}")
-    # Every plan, and with it every divisor, is checked before the first replication runs.
-    plans = {}
-    for ci, (_, d, n, m) in enumerate(cells):
-        for div in divisors:
-            plans[ci, div] = SubsamplingPlan.for_sample(n, divisor=div, iterations=iterations)
-    divisors = _check_distinct(divisors, "divisors", (4,))
     rows = []
     exact = {}
     sub = {}
-    for ci, (rule, d, n, m) in enumerate(cells):
-        sigma = sigma_from_rule(rule, d)
-        spec = KernelSpec(sigma=sigma)
+    for ci, (rule, d, n, m, spec, plans) in enumerate(cells):
         scaled = _exact_scaled(kinds, spec, n, m, d, (seed, ci), reps)
         for kind in kinds:
             exact[ci, kind] = float(scaled[kind].var(ddof=1))
-            rows.append(_row(table="variance", sigma_rule=rule, sigma=sigma, d=d, n=n, m=m, kind=kind,
+            rows.append(_row(table="variance", sigma_rule=rule, sigma=spec.sigma, d=d, n=n, m=m, kind=kind,
                              estimate="exact_variance", reps=reps, value=exact[ci, kind],
                              se=_variance_se(scaled[kind])))
         for div in divisors:
-            plan = plans[ci, div]
+            plan = plans[div]
             x = np.random.default_rng([seed, ci, 2, div]).standard_normal((n, d))
             v_subs = _subsample_variance(gram(x, x, spec), kinds, plan, m, _derived_seed(seed, ci, 1, div))
             for kind, v_sub in zip(kinds, v_subs):
                 sub[ci, div, kind] = v_sub
-                rows.append(_row(table="variance", sigma_rule=rule, sigma=sigma, d=d, n=n, m=m, kind=kind,
+                rows.append(_row(table="variance", sigma_rule=rule, sigma=spec.sigma, d=d, n=n, m=m, kind=kind,
                                  estimate="subsample_variance", divisor=div, k=plan.k, l=plan.l,
                                  reps=iterations, value=v_sub))
     for kind in kinds:
@@ -224,8 +229,8 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
             rows.append(_row(table="variance", kind=kind, estimate="slope", divisor=div, reps=len(pairs),
                              value=slope_regression(pairs)))
     config = {
-        "table": "variance", "cells": [list(c) for c in cells], "kinds": list(kinds),
-        "reps": reps, "divisors": list(divisors), "iterations": int(iterations), "seed": seed,
+        "table": "variance", "cells": [list(c[:4]) for c in cells], "kinds": list(kinds),
+        "reps": reps, "divisors": list(divisors), "iterations": iterations, "seed": seed,
     }
     return ExperimentResult(config=config, rows=tuple(rows))
 
@@ -240,14 +245,6 @@ def slope_regression(pairs):
     if sxx == 0.0:
         raise ValueError("all predictor values are zero; slope is undefined")
     return float(x @ y) / sxx
-
-
-def _alternative_spec(name, d):
-    if name == "uniform":
-        return DistributionSpec.uniform_unit(d)
-    if name == "exponential":
-        return DistributionSpec.centered_exponential(d)
-    raise ValueError(f"unknown alternative {name!r}; choose from ('uniform', 'exponential')")
 
 
 def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mvd", "mmd"),
@@ -265,26 +262,26 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
     a dict {kind: tau}; it is checked as run_tests checks it, before the first
     replication.
     """
-    cells = _check_cells(cells)
+    iterations = _check_iterations(iterations)
+    cells = _check_cells(cells, (divisor,), iterations)
     kinds = _check_kinds(kinds)
     _resolve_taus(tau, kinds)
+    draws = _check_draws(draws, alpha)
     seed = _check_seed(seed)
     reps = _check_integer(reps, "reps")
     if reps < 1:
         raise ValueError(f"need reps >= 1, got {reps}")
     alternatives = _check_distinct(alternatives, "alternatives", ("uniform",))
     for name in alternatives:
-        _alternative_spec(name, 1)
-    scenarios = ["null"] + list(alternatives)
+        if name not in tuple(_ALTERNATIVES):  # by equality, so an unhashable name is refused here too
+            raise ValueError(f"unknown alternative {name!r}; choose from {tuple(_ALTERNATIVES)}")
+    scenarios = [("null", "std_normal")] + [(name, _ALTERNATIVES[name]) for name in alternatives]
     rows = []
-    for ci, (rule, d, n, m) in enumerate(cells):
-        sigma = sigma_from_rule(rule, d)
-        spec = KernelSpec(sigma=sigma)
+    for ci, (rule, d, n, m, spec, plans) in enumerate(cells):
+        plan = plans[divisor]
         x_spec = DistributionSpec.std_normal(d)
-        # The first cell's plan refuses a bad divisor before any replication runs.
-        plan = SubsamplingPlan.for_sample(n, divisor=divisor, iterations=iterations)
-        for si, scenario in enumerate(scenarios):
-            y_spec = x_spec if scenario == "null" else _alternative_spec(scenario, d)
+        for si, (scenario, family) in enumerate(scenarios):
+            y_spec = DistributionSpec(family, d)
             rejected = {kind: 0 for kind in kinds}
             for rep in range(reps):
                 x = sample(x_spec, n, seed=[seed, ci, si, rep, 0])
@@ -294,13 +291,13 @@ def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mv
                     rejected[report.kind] += report.reject
             for kind in kinds:
                 rate = rejected[kind] / reps
-                rows.append(_row(table="power", sigma_rule=rule, sigma=sigma, d=d, n=n, m=m, kind=kind,
+                rows.append(_row(table="power", sigma_rule=rule, sigma=spec.sigma, d=d, n=n, m=m, kind=kind,
                                  estimate="rejection_rate", scenario=scenario, divisor=divisor, k=plan.k,
                                  l=plan.l, reps=reps, value=rate, se=math.sqrt(rate * (1.0 - rate) / reps)))
     config = {
-        "table": "power", "cells": [list(c) for c in cells], "alternatives": list(alternatives),
+        "table": "power", "cells": [list(c[:4]) for c in cells], "alternatives": list(alternatives),
         "kinds": list(kinds), "alpha": float(alpha), "reps": reps, "divisor": int(divisor),
-        "iterations": int(iterations), "draws": int(draws),
+        "iterations": iterations, "draws": draws,
         "tau": None if tau is None else float(tau) if isinstance(tau, numbers.Real) else dict(tau),
         "seed": seed,
     }

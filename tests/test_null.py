@@ -217,6 +217,12 @@ class TestSpectralWeights:
         with pytest.raises(ValueError, match="source must be 4 x 4"):
             spectral_weights(np.eye(3), 4)
 
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_rejects_a_size_that_is_not_an_integer(self, n):
+        # 2.0 ran, and True was refused as "source must be True x True".
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            spectral_weights(np.eye(2), n)
+
     def test_rejects_asymmetric(self):
         a = np.eye(3)
         a[0, 1] = 0.5

@@ -121,6 +121,18 @@ class TestDistributions:
         with pytest.raises(ValueError, match=re.escape(f"d must be an integer >= 1, got {d!r}")):
             DistributionSpec.std_normal(d)
 
+    @pytest.mark.parametrize("seed,match", [
+        pytest.param(-1, "^seed must be a non-negative integer, got -1$", id="negative"),
+        pytest.param(True, "^seed must be an integer, got True$", id="bool"),
+        pytest.param(1.5, "^seed must be an integer, got 1.5$", id="float"),
+        pytest.param("abc", "^seed must be an integer, got 'abc'$", id="string"),
+        pytest.param([1, -1], "^seed must be a non-negative integer, got -1$", id="negative-part"),
+    ])
+    def test_rejects_a_bad_seed(self, seed, match):
+        # -1 and [1, -1] raised numpy's "expected non-negative integer", 1.5 a TypeError; True ran as 1.
+        with pytest.raises(ValueError, match=match):
+            sample(DistributionSpec.std_normal(2), 3, seed=seed)
+
 
 class TestVarianceSe:
     def test_matches_direct_formula(self):
@@ -255,6 +267,20 @@ class TestVarianceTable:
         monkeypatch.setattr(mvdtest.simulate, "gram", no_replication)
         with pytest.raises(ValueError, match=re.escape("divisors must be distinct, got (4, 4)")):
             self._run(divisors=(4, 4))
+
+    @pytest.mark.parametrize("iterations,match", [
+        pytest.param(2.7, "iterations must be an integer, got 2.7", id="float"),
+        pytest.param(True, "iterations must be an integer, got True", id="bool"),
+        pytest.param(-5, "need at least 2 iterations, got -5", id="negative"),
+        pytest.param("abc", "iterations must be an integer, got 'abc'", id="string"),
+    ])
+    def test_rejects_bad_iterations_without_divisors(self, iterations, match, monkeypatch):
+        # With no divisor no plan checked them: the config echoed 2, 1 and -5, and "abc" failed in int().
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before the iterations were checked")
+        monkeypatch.setattr(mvdtest.simulate, "gram", no_replication)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            self._run(divisors=(), iterations=iterations)
 
     def test_rejects_a_bare_string_of_kinds(self):
         # "mmd" was read as the kinds "m", "m", "d".
@@ -396,6 +422,23 @@ class TestTypeOnePowerTable:
         want = re.escape("alternatives must be a sequence such as ('uniform',), got the string 'uniform'")
         with pytest.raises(ValueError, match=want):
             self._run(alternatives="uniform")
+
+    def test_rejects_an_unhashable_alternative_by_name(self):
+        with pytest.raises(ValueError, match=re.escape("unknown alternative ['uniform']; choose from")):
+            self._run(alternatives=[["uniform"]])
+
+    @pytest.mark.parametrize("run_args,match", [
+        pytest.param({"alpha": "0.05"}, "alpha must be in (0, 1), got '0.05'", id="string-alpha"),
+        pytest.param({"draws": 10}, "draws=10 is too small for alpha=0.05", id="too-few-draws"),
+        pytest.param({"draws": 2.5}, "draws must be an integer, got 2.5", id="float-draws"),
+    ])
+    def test_rejects_bad_run_arguments_before_any_replication(self, run_args, match, monkeypatch):
+        # Each was refused by run_tests, after the first replication had drawn its two samples.
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before alpha and draws were checked")
+        monkeypatch.setattr(mvdtest.simulate, "sample", no_replication)
+        with pytest.raises(ValueError, match=re.escape(match)):
+            self._run(**run_args)
 
     def test_rejects_an_alpha_that_is_not_a_real(self):
         with pytest.raises(ValueError, match=re.escape("alpha must be in (0, 1), got '0.05'")):
