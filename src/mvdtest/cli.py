@@ -88,8 +88,6 @@ def _list_of(convert, what):
 def _csv_cell(value):
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -6,8 +6,12 @@ fix the reference distribution P = N(0, I_d) and take Q = N(mean, cov); fully
 general pairs of Gaussians are reachable through the inner-product helpers at
 the bottom of the module.  Each discrepancy is the squared distance between
 two operators, ||P||^2 + ||Q||^2 - 2<P, Q>, and has one closed form,
-assembled from exactly those helpers.  The isotropic functions, for
-Q = N(t * ones, s * I_d), are that form on GaussianSpec.isotropic(t, s, d).
+assembled from one inner product per operator: each squared norm is the
+operator's inner product with itself.  Every term of those inner products is
+one Gaussian integral, taken through its log (_log_gauss), so no determinant
+is formed as a product that can overflow at large d.  The isotropic
+functions, for Q = N(t * ones, s * I_d), are that form on
+GaussianSpec.isotropic(t, s, d).
 """
 
 import math
@@ -78,13 +82,13 @@ def _standard(d, sigma, kinds, c):
     """
     _check_log_scale(c)
     p = GaussianSpec.standard(d)
-    return p, {kind: _OPERATORS[kind][0](p, sigma) for kind in kinds}
+    return p, {kind: _OPERATORS[kind](p, p, sigma) for kind in kinds}
 
 
 def _sq_distance(kind, p, p_norms, q, sigma, c):
     """|P|^2 + |q|^2 - 2<P, q> for kind's operator, floored at 0, times e^(pc) (p = 2 for mvd, 1 for mmd)."""
-    norm_sq, inner = _OPERATORS[kind]
-    return _rescale(max(p_norms[kind] + norm_sq(q, sigma) - 2.0 * inner(p, q, sigma), 0.0), c, _POWER[kind])
+    inner = _OPERATORS[kind]
+    return _rescale(max(p_norms[kind] + inner(q, q, sigma) - 2.0 * inner(p, q, sigma), 0.0), c, _POWER[kind])
 
 
 def mmd_sq_gaussian(q, sigma, c=0.0):
@@ -132,11 +136,10 @@ def mvd_mmd_curves(t_grid, s_grid, d, sigma, c=0.0):
     return rows
 
 
-def mean_embedding_norm_sq(q, sigma):
-    """||mu_k(q)||^2 = |I + 4 sigma cov|^{-1/2} for a Gaussian q."""
-    _check_sigma(sigma)
-    e = np.linalg.eigvalsh(q.cov)
-    return float(np.prod(1.0 + 4.0 * sigma * e) ** -0.5)
+def _log_gauss(m_mat, delta, rate):
+    """-1/2 log|M| - rate delta' M^{-1} delta: the log of each Gaussian integral below."""
+    _, logdet = np.linalg.slogdet(m_mat)
+    return -0.5 * logdet - rate * float(delta @ np.linalg.solve(m_mat, delta))
 
 
 def mean_embedding_inner(p, q, sigma):
@@ -148,11 +151,12 @@ def mean_embedding_inner(p, q, sigma):
     _check_sigma(sigma)
     if p.dim != q.dim:
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    m_mat = np.eye(p.dim) + 2.0 * sigma * (p.cov + q.cov)
-    delta = p.mean - q.mean
-    _, logdet = np.linalg.slogdet(m_mat)
-    quad = float(delta @ np.linalg.solve(m_mat, delta))
-    return math.exp(-0.5 * logdet - sigma * quad)
+    return math.exp(_log_gauss(np.eye(p.dim) + 2.0 * sigma * (p.cov + q.cov), p.mean - q.mean, sigma))
+
+
+def mean_embedding_norm_sq(q, sigma):
+    """||mu_k(q)||^2 = <mu_k(q), mu_k(q)> = |I + 4 sigma cov|^{-1/2} for a Gaussian q."""
+    return mean_embedding_inner(q, q, sigma)
 
 
 def _one_two_term(p, q, sigma):
@@ -160,17 +164,12 @@ def _one_two_term(p, q, sigma):
 
     Integrating Y and Y' first gives the squared conditional mean embedding;
     integrating X then yields
-    |I + 2sC_q|^{-1/2} |I + 2sC_q + 4sC_p|^{-1/2}
-        * exp(-2s delta' (I + 2sC_q + 4sC_p)^{-1} delta).
+    |A|^{-1/2} |A + 4sC_p|^{-1/2} exp(-2s delta' (A + 4sC_p)^{-1} delta)
+    with A = I + 2sC_q.
     """
-    d = p.dim
-    a = np.eye(d) + 2.0 * sigma * q.cov
-    b = a + 4.0 * sigma * p.cov
-    delta = p.mean - q.mean
+    a = np.eye(p.dim) + 2.0 * sigma * q.cov
     _, logdet_a = np.linalg.slogdet(a)
-    _, logdet_b = np.linalg.slogdet(b)
-    quad = float(delta @ np.linalg.solve(b, delta))
-    return math.exp(-0.5 * (logdet_a + logdet_b) - 2.0 * sigma * quad)
+    return math.exp(-0.5 * logdet_a + _log_gauss(a + 4.0 * sigma * p.cov, p.mean - q.mean, 2.0 * sigma))
 
 
 def cov_operator_inner(p, q, sigma):
@@ -193,6 +192,5 @@ def cov_operator_norm_sq(p, sigma):
     return cov_operator_inner(p, p, sigma)
 
 
-# Each kind's operator: its squared norm and inner product.
-_OPERATORS = {"mmd": (mean_embedding_norm_sq, mean_embedding_inner),
-              "mvd": (cov_operator_norm_sq, cov_operator_inner)}
+# Each kind's operator as its one inner product; a squared norm is inner(P, P).
+_OPERATORS = {"mmd": mean_embedding_inner, "mvd": cov_operator_inner}

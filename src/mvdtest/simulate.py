@@ -142,9 +142,13 @@ def _check_cells(cells, divisors, iterations):
     if not cells:
         raise ValueError("need at least one cell")
     resolved = []
-    for ci, (rule, d, n, m) in enumerate(cells):
+    for ci, cell in enumerate(cells):
+        try:
+            rule, d, n, m = cell
+        except (TypeError, ValueError):
+            raise ValueError(f"cell {ci} {cell!r}: need the 4 items (sigma_rule, d, n, m)") from None
         if not all(map(_is_integer, (d, n, m))) or d < 1 or n < 4 or m < 2:
-            raise ValueError(f"cell {ci} {tuple(cells[ci])}: need integers d >= 1, n >= 4 and m >= 2")
+            raise ValueError(f"cell {ci} {tuple(cell)}: need integers d >= 1, n >= 4 and m >= 2")
         spec = KernelSpec(sigma=sigma_from_rule(rule, d))
         plans = {div: SubsamplingPlan.for_sample(n, divisor=div, iterations=iterations) for div in divisors}
         resolved.append((rule, d, n, m, spec, plans))
@@ -194,6 +198,9 @@ def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), i
     stream, so the rows equal those of a serial run bit for bit.
     """
     iterations = _check_iterations(iterations)
+    # One pass over divisors, which may be a one-shot iterable; a bare string
+    # stays whole for _check_distinct to refuse.
+    divisors = divisors if isinstance(divisors, str) else tuple(divisors)
     # Each divisor is checked, in every cell's plans, before repeats are.
     cells = _check_cells(cells, divisors, iterations)
     divisors = _check_distinct(divisors, "divisors", (4,))

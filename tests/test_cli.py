@@ -1,12 +1,15 @@
 """Command-line interface: argument handling, output formats, determinism."""
 
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import reference as ref
 from mvdtest import (
     KernelSpec,
     SubsamplingPlan,
@@ -331,9 +334,11 @@ class TestCurvesCommand:
         assert out1 == out2
 
     def test_bad_grid_list_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["curves", "--t", "1,spam"])
-        assert exc.value.code == 2
+        for grid, why in (("1,spam", "not a comma-separated list of numbers"), (",", "empty list")):
+            with pytest.raises(SystemExit) as exc:
+                main(["curves", "--t", grid])
+            assert exc.value.code == 2
+            assert why in capsys.readouterr().err
 
 
 class TestClosedFormCommand:
@@ -346,6 +351,17 @@ class TestClosedFormCommand:
         assert payload["mmd_sq"] == mmd_sq_isotropic(0.5, 1.5, 2, 0.25)
         assert payload["sigma"] == 0.25
         assert list(payload) == ["t", "s", "d", "sigma", "C", "mmd_sq", "mvd_sq", "version"]
+
+    def test_large_dimension_prints_the_value_without_warnings(self, capsys):
+        # mmd_sq read 0.0 after numpy's overflow warning on |I + 4 sigma I_500| = 5^500.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["closed-form", "--t", "0.5", "--s", "1", "--d", "500",
+                                           "--sigma", "1", "--log-scale", "300"])
+        assert code == 0
+        assert err == ""
+        want = math.exp(300.0) * ref.isotropic_sq_by_decimal(0.5, 1.0, 500, 1.0)[1]
+        np.testing.assert_allclose(json.loads(out)["mmd_sq"], want, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("argv,error", [
         (["closed-form", "--sigma", "0.5", "--d", "-3"], "d must be an integer >= 1, got -3"),

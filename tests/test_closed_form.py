@@ -212,6 +212,13 @@ class TestIsotropicSpecialization:
         assert mvd_sq_isotropic(0.0, 1.0, 5, 0.1) < 1e-13
         assert mmd_sq_isotropic(0.0, 1.0, 5, 0.1) < 1e-13
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 20])
+    def test_mmd_is_exactly_zero_when_distributions_match(self, d):
+        # |q|^2 came from a product of eigenvalues and <P, q> from slogdet, so
+        # 12 of these 48 points read between 1.6e-24 and 1.1e-16.
+        for sigma in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 1.0, 2.0):
+            assert mmd_sq_isotropic(0.0, 1.0, d, sigma) == 0.0
+
     def test_monotone_vanishing_along_a_path(self):
         rng = np.random.default_rng(92)
         d = 3
@@ -253,6 +260,25 @@ class TestIsotropicSpecialization:
             mvd_mmd_curves([0.0, 1.0], [1.0], d, 0.5)
         with pytest.raises(ValueError, match=message):
             mvd_mmd_curves([], [], d, 0.5)
+
+
+class TestLargeDimension:
+    """|I + 4 sigma cov| overflows float64 once d log(1 + 4 sigma) > 709.8; its log does not."""
+
+    @pytest.mark.parametrize("t, s, d, sigma", [(0.5, 1.0, 500, 1.0), (0.0, 1.5, 300, 2.0)])
+    def test_mmd_matches_decimal_oracle(self, t, s, d, sigma):
+        # The first read 0.0: |q|^2 came out as 0 after numpy's overflow warning.
+        c = 300.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mmd_sq_isotropic(t, s, d, sigma, c)
+        want = math.exp(c) * ref.isotropic_sq_by_decimal(t, s, d, sigma)[1]
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_mean_embedding_norm_stays_positive(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mean_embedding_norm_sq(GaussianSpec.standard(500), 1.0) > 0.0
 
 
 class TestLogScaleFactor:

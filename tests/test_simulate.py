@@ -32,6 +32,9 @@ BAD_CELLS = [
     (0.5, True, 32, 32),
 ]
 
+# Cells that are not 4 items: tuple unpacking refused them without naming the cell.
+MALFORMED_CELLS = [("d^-1", 2, 32), ("d^-1", 2, 32, 32, 1), 5]
+
 
 class TestSigmaFromRule:
     @pytest.mark.parametrize("rule,exponent", list(SIGMA_RULES.items()))
@@ -250,6 +253,15 @@ class TestVarianceTable:
         with pytest.raises(ValueError, match=want):
             self._run(cells=[self.CELL, cell])
 
+    @pytest.mark.parametrize("cell", MALFORMED_CELLS)
+    def test_rejects_malformed_cell_before_any_replication(self, cell, monkeypatch):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before every cell was checked")
+        monkeypatch.setattr(mvdtest.simulate, "gram", no_replication)
+        want = "^" + re.escape(f"cell 1 {cell!r}: need the 4 items (sigma_rule, d, n, m)") + "$"
+        with pytest.raises(ValueError, match=want):
+            self._run(cells=[self.CELL, cell])
+
     @pytest.mark.parametrize("divisor", [0, 1, 4.0])
     def test_rejects_bad_divisor_before_any_replication(self, divisor, monkeypatch):
         # 0 used to raise a bare ZeroDivisionError, 1 a plan error about k.
@@ -286,6 +298,13 @@ class TestVarianceTable:
         # "mmd" was read as the kinds "m", "m", "d".
         with pytest.raises(ValueError, match=re.escape("a sequence such as ('mvd',), got the string 'mmd'")):
             self._run(kinds="mmd")
+
+    def test_one_shot_divisors_serve_every_cell(self):
+        # A generator was used up by the first cell's plans: no subsample rows, and "divisors": [].
+        res = variance_table([self.CELL, self.CELL], reps=3, divisors=(d for d in (4,)), iterations=5)
+        subs = [(r["d"], r["kind"], r["divisor"]) for r in res.rows if r["estimate"] == "subsample_variance"]
+        assert subs == [(2, "mvd", 4), (2, "mmd", 4)] * 2
+        assert res.config["divisors"] == [4]
 
     def test_smallest_cell_runs_every_divisor(self):
         res = self._run(cells=[("d^-3/4", 2, 4, 2)], divisors=(4, 6, 8))
@@ -468,6 +487,15 @@ class TestTypeOnePowerTable:
             raise AssertionError("a replication ran before every cell was checked")
         monkeypatch.setattr(mvdtest.simulate, "run_tests", no_replication)
         want = re.escape(f"cell 1 {cell}: need integers d >= 1, n >= 4 and m >= 2")
+        with pytest.raises(ValueError, match=want):
+            self._run(cells=[self.CELL, cell])
+
+    @pytest.mark.parametrize("cell", MALFORMED_CELLS)
+    def test_rejects_malformed_cell_before_any_replication(self, cell, monkeypatch):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran before every cell was checked")
+        monkeypatch.setattr(mvdtest.simulate, "run_tests", no_replication)
+        want = "^" + re.escape(f"cell 1 {cell!r}: need the 4 items (sigma_rule, d, n, m)") + "$"
         with pytest.raises(ValueError, match=want):
             self._run(cells=[self.CELL, cell])
 
