@@ -9,7 +9,9 @@ two operators, ||P||^2 + ||Q||^2 - 2<P, Q>, and has one closed form,
 assembled from one inner product per operator: each squared norm is the
 operator's inner product with itself.  Every term of those inner products is
 one Gaussian integral, taken through its log (_log_gauss), so no determinant
-is formed as a product that can overflow at large d.  The isotropic
+is formed as a product that can overflow at large d.  Under the kernel
+e^C k a term is scaled by e^(pC) inside its log, before exp, so a value that
+is out of float64's range at C = 0 but not at C keeps its digits.  The isotropic
 functions, for Q = N(t * ones, s * I_d), are that form on
 GaussianSpec.isotropic(t, s, d).
 """
@@ -19,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import _POWER
-from .kernels import _check_log_scale, _check_sigma, _is_finite_real, _is_integer, _rescale
+from .kernels import _check_log_scale, _check_scaled, _check_sigma, _is_finite_real, _is_integer
 
 
 def _check_dim(d):
@@ -75,20 +76,32 @@ class GaussianSpec:
 
 
 def _standard(d, sigma, kinds, c):
-    """P = N(0, I_d) and {kind: |P|^2} for each kind's operator, shared by every q compared with P.
+    """P = N(0, I_d) and {kind: |P|^2} under the kernel e^c k for each kind's operator, shared by every q.
 
     Every closed form enters here before it evaluates a point, so this is
     where the kernel scale c is checked.
     """
     _check_log_scale(c)
     p = GaussianSpec.standard(d)
-    return p, {kind: _OPERATORS[kind](p, p, sigma) for kind in kinds}
+    return p, {kind: _inner(kind, p, p, sigma, c) for kind in kinds}
 
 
 def _sq_distance(kind, p, p_norms, q, sigma, c):
-    """|P|^2 + |q|^2 - 2<P, q> for kind's operator, floored at 0, times e^(pc) (p = 2 for mvd, 1 for mmd)."""
-    inner = _OPERATORS[kind]
-    return _rescale(max(p_norms[kind] + inner(q, q, sigma) - 2.0 * inner(p, q, sigma), 0.0), c, _POWER[kind])
+    """|P|^2 + |q|^2 - 2<P, q> for kind's operator under the kernel e^c k, floored at 0.
+
+    That is the distance at c = 0 times e^(pc) (p = 2 for mvd, 1 for mmd).
+    A value that overflows float64 raises a ValueError that names log_scale.
+    """
+    value = p_norms[kind] + _inner(kind, q, q, sigma, c) - 2.0 * _inner(kind, p, q, sigma, c)
+    return max(_check_scaled(value, c), 0.0)
+
+
+def _inner(kind, p, q, sigma, c):
+    """kind's inner product <p, q> under the kernel e^c k; inf where a term overflows float64."""
+    try:
+        return _OPERATORS[kind](p, q, sigma, c)
+    except OverflowError:  # math.exp and float ** raise where float64 overflows
+        return math.inf
 
 
 def mmd_sq_gaussian(q, sigma, c=0.0):
@@ -142,16 +155,26 @@ def _log_gauss(m_mat, delta, rate):
     return -0.5 * logdet - rate * float(delta @ np.linalg.solve(m_mat, delta))
 
 
+def _check_pair(p, q, sigma):
+    """Refuse a bad bandwidth, then two Gaussians of different dimensions."""
+    _check_sigma(sigma)
+    if p.dim != q.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
+
+
 def mean_embedding_inner(p, q, sigma):
     """<mu_k(p), mu_k(q)> for two Gaussians under the Gaussian kernel.
 
     Equals |M|^{-1/2} exp(-sigma delta' M^{-1} delta) with
     M = I + 2 sigma (cov_p + cov_q) and delta = mean_p - mean_q.
     """
-    _check_sigma(sigma)
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-    return math.exp(_log_gauss(np.eye(p.dim) + 2.0 * sigma * (p.cov + q.cov), p.mean - q.mean, sigma))
+    _check_pair(p, q, sigma)
+    return _mean_inner(p, q, sigma, 0.0)
+
+
+def _mean_inner(p, q, sigma, c):
+    """mean_embedding_inner under the kernel e^c k: c is added to the term's log."""
+    return math.exp(c + _log_gauss(np.eye(p.dim) + 2.0 * sigma * (p.cov + q.cov), p.mean - q.mean, sigma))
 
 
 def mean_embedding_norm_sq(q, sigma):
@@ -159,17 +182,17 @@ def mean_embedding_norm_sq(q, sigma):
     return mean_embedding_inner(q, q, sigma)
 
 
-def _one_two_term(p, q, sigma):
-    """E[k(X, Y) k(X, Y')] with one draw X ~ p and two independent Y, Y' ~ q.
+def _one_two_term(p, q, sigma, c):
+    """e^c E[k(X, Y) k(X, Y')] with one draw X ~ p and two independent Y, Y' ~ q.
 
     Integrating Y and Y' first gives the squared conditional mean embedding;
     integrating X then yields
     |A|^{-1/2} |A + 4sC_p|^{-1/2} exp(-2s delta' (A + 4sC_p)^{-1} delta)
-    with A = I + 2sC_q.
+    with A = I + 2sC_q; c is added to its log.
     """
     a = np.eye(p.dim) + 2.0 * sigma * q.cov
     _, logdet_a = np.linalg.slogdet(a)
-    return math.exp(-0.5 * logdet_a + _log_gauss(a + 4.0 * sigma * p.cov, p.mean - q.mean, 2.0 * sigma))
+    return math.exp(c - 0.5 * logdet_a + _log_gauss(a + 4.0 * sigma * p.cov, p.mean - q.mean, 2.0 * sigma))
 
 
 def cov_operator_inner(p, q, sigma):
@@ -179,11 +202,16 @@ def cov_operator_inner(p, q, sigma):
     embedding inner product at bandwidth 2 sigma), the two mixed terms with a
     repeated draw on one side, and the squared mean-embedding inner product.
     """
-    _check_sigma(sigma)
-    i1 = mean_embedding_inner(p, q, 2.0 * sigma)  # checks the dimensions first
-    i2 = _one_two_term(p, q, sigma)
-    i3 = _one_two_term(q, p, sigma)
-    i4 = mean_embedding_inner(p, q, sigma) ** 2
+    _check_pair(p, q, sigma)
+    return _cov_inner(p, q, sigma, 0.0)
+
+
+def _cov_inner(p, q, sigma, c):
+    """cov_operator_inner under the kernel e^c k: 2c is added to each term's log (c to I4's root)."""
+    i1 = _mean_inner(p, q, 2.0 * sigma, 2.0 * c)
+    i2 = _one_two_term(p, q, sigma, 2.0 * c)
+    i3 = _one_two_term(q, p, sigma, 2.0 * c)
+    i4 = _mean_inner(p, q, sigma, c) ** 2
     return i1 - i2 - i3 + i4
 
 
@@ -192,5 +220,6 @@ def cov_operator_norm_sq(p, sigma):
     return cov_operator_inner(p, p, sigma)
 
 
-# Each kind's operator as its one inner product; a squared norm is inner(P, P).
-_OPERATORS = {"mmd": mean_embedding_inner, "mvd": cov_operator_inner}
+# Each kind's operator as its one inner product under the kernel e^c k,
+# inner(p, q, sigma, c); a squared norm is inner(P, P, sigma, c).
+_OPERATORS = {"mmd": _mean_inner, "mvd": _cov_inner}

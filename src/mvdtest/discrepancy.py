@@ -38,21 +38,25 @@ def _check_kinds(kinds):
     return kinds
 
 
-def _raw_statistics(kinds, k_x, k_y, k_xy):
-    """Unclamped statistics {kind: value} of raw Gram blocks (..., k, k), (..., l, l), (..., k, l).
+def _raw_statistics(kinds, blocks):
+    """Unclamped statistics {kind: value} of raw Gram blocks, taken from the iterator blocks one at a time.
 
-    Leading axes index independent problems.  Both statistics are unchanged
-    when one constant is subtracted from every kernel value, so all blocks are
-    first shifted in place by _shift(k_xy) (of the first problem in a batch;
-    callers batch only subsamples of one Gram matrix).  Without the shift a
-    nearly constant kernel (a wide bandwidth) cancels in the mmd sums, which
-    then hold only to about 1e-16 and depend on the row order.  Each
-    block is reduced by _block_terms, one at a time while it is in cache, and
-    _combine_terms weighs the three terms.
+    blocks yields k_xy (..., k, l) first, then k_x (..., k, k) and k_y
+    (..., l, l); leading axes index independent problems.  Each block is
+    reduced in place by _block_terms before the next one is drawn, so a
+    caller may yield all three from one buffer.  Both statistics are
+    unchanged when one constant is subtracted from every kernel value, so
+    every block is first shifted in place by _shift(k_xy) (of the first
+    problem in a batch; callers batch only subsamples of one Gram matrix).
+    Without the shift a nearly constant kernel (a wide bandwidth) cancels in
+    the mmd sums, which then hold only to about 1e-16 and depend on the row
+    order.  _combine_terms weighs the three terms.
     """
+    k_xy = next(blocks)
     shift = _shift(k_xy)
-    terms = [_block_terms(kinds, b, shift) for b in (k_x, k_y, k_xy)]
-    return _combine_terms(kinds, *terms, *k_xy.shape[-2:])
+    t_xy = _block_terms(kinds, k_xy, shift)
+    t_x, t_y = (_block_terms(kinds, b, shift) for b in blocks)
+    return _combine_terms(kinds, t_x, t_y, t_xy, *k_xy.shape[-2:])
 
 
 def _shift(k_xy):
@@ -88,7 +92,7 @@ def _combine_terms(kinds, t_x, t_y, t_xy, k, l):
 def statistic(g, kind):
     """Evaluate one discrepancy statistic ("mvd" or "mmd") on copies of a GramSet's raw blocks."""
     _check_kind(kind)
-    raw = _raw_statistics((kind,), g.k_x.copy(), g.k_y.copy(), g.k_xy.copy())[kind]
+    raw = _raw_statistics((kind,), (b.copy() for b in (g.k_xy, g.k_x, g.k_y)))[kind]
     return max(float(raw), 0.0)
 
 

@@ -105,15 +105,19 @@ def _rescale(value, log_scale, power):
 
     A discrepancy and everything measured in its units scale as e^C (mmd) or
     e^(2C) (mvd) under k' = e^C k; a variance of them as the square of that.
-    log_scale must already be checked (_check_log_scale), as KernelSpec and
-    closed_form._standard do.  Raises a ValueError that names log_scale where
-    the factor or the product is not finite (e^(2C) overflows float64 from C
-    of about 355 on).
+    log_scale must already be checked (_check_log_scale), as KernelSpec does.
+    Raises a ValueError that names log_scale where the factor or the product
+    is not finite (e^(2C) overflows float64 from C of about 355 on).
     """
     try:
         scaled = math.exp(power * log_scale) * float(value)
     except OverflowError:  # math.exp overflows by raising, never by returning inf
         scaled = math.inf
+    return _check_scaled(scaled, log_scale)
+
+
+def _check_scaled(scaled, log_scale):
+    """scaled, a magnitude at C = log_scale; a ValueError that names log_scale where it is not finite."""
     if not math.isfinite(scaled):
         raise ValueError(f"log_scale={log_scale!r} is too large: the scaled value overflowed float64; "
                          "lower KernelSpec.log_scale")

@@ -44,18 +44,20 @@ TAU_TABLE = {
 # by round-off (up to a few 1e-15 relative at 2000 weights).
 _BLOCK_SCALARS = 1 << 17
 
-# Cap on Gram entries gathered per chunk of subsampling iterations (2 MB).
-# Each lane's gathered blocks sit on top of the n x n Gram matrix, so the cap
-# keeps them a small share of a 200-row study's memory, while a chunk still
-# spreads numpy's per-call cost over many iterations (139 at n = 200 with
-# the default plan).
+# Cap on Gram entries, over its three blocks, per chunk of subsampling
+# iterations (2 MB).  A lane gathers the blocks in turn into one buffer of the
+# largest one, which sits on top of the n x n Gram matrix, so the cap keeps
+# it a small share of a 200-row study's memory, while a chunk still spreads
+# numpy's per-call cost over many iterations (139 at n = 200 with the default
+# plan).
 _CHUNK_SCALARS = 1 << 18
 
 # Scalars one subsampling iteration must gather before its chunks are spread
 # over several threads (k = l >= 74).  Below it an iteration's index draws,
 # which hold the GIL (about 50 us), are a large share of its work, so a second
 # lane gains little end to end while its buffers and thread raise the peak
-# memory of a 200-row study by about 5%; CHANGES.md has the measurements.
+# RSS of a 200-row study by about 2% (1.5 of 71 MB over three one-rep power
+# tables of the Tier-1 cell on a 2-vCPU VM); CHANGES.md has the measurements.
 _LANE_SCALARS = 1 << 14
 
 # numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's
@@ -83,7 +85,11 @@ def _check_draw_seed(seed):
 
 
 def _pcg64_states(prefix, indices):
-    """bit_generator.state of default_rng([*prefix, i]) for each i in indices, in one pass.
+    """The PCG64 (state, inc) of default_rng([*prefix, i]) for each i in indices, in one pass.
+
+    Each pair is two Python ints, which _pcg64_state turns into the
+    bit_generator.state dict: about 140 bytes a stream, against 470 for the
+    dict.
 
     This replays SeedSequence (entropy hashed into a pool of four uint32
     words, then generate_state(4, uint64)) on uint32 arrays with one element
@@ -138,22 +144,26 @@ def _pcg64_states(prefix, indices):
     states = []
     for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
         inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
+        states.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
     return states
 
 
-def _stream_states(prefix, count):
-    """bit_generator.state of the streams default_rng([*prefix, i]) for i in range(count).
+def _pcg64_state(state, inc):
+    """The bit_generator.state dict of a fresh PCG64 stream with this state and increment."""
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
-    Assigning states[i] to a PCG64's state gives exactly the stream
-    default_rng([*prefix, i]) would, at a fraction of the cost of building
-    it.  Stream 0 is checked against default_rng once per call, so a numpy
-    whose seeding differs fails loudly instead of drawing other numbers.
+
+def _stream_states(prefix, count):
+    """The PCG64 (state, inc) of the streams default_rng([*prefix, i]) for i in range(count).
+
+    Assigning _pcg64_state(*states[i]) to a PCG64's state gives exactly the
+    stream default_rng([*prefix, i]) would, at a fraction of the cost of
+    building it.  Stream 0 is checked against default_rng once per call, so
+    a numpy whose seeding differs fails loudly instead of drawing other
+    numbers.
     """
     states = _pcg64_states(prefix, np.arange(count))
-    if states[0] != np.random.default_rng([*prefix, 0]).bit_generator.state:
+    if _pcg64_state(*states[0]) != np.random.default_rng([*prefix, 0]).bit_generator.state:
         raise RuntimeError(f"numpy {np.__version__} seeds default_rng differently from the "
                            "SeedSequence and PCG64 algorithms mvdtest replays")
     return states
@@ -372,17 +382,21 @@ def subsample_variance(x, spec, kind, plan, m, seed=0):
     run with the same seed.  All streams are seeded in one vectorized pass;
     stream 0 is checked against default_rng on every call, and a mismatch (a
     numpy that seeds differently) raises RuntimeError.
-    The iterations are evaluated in chunks: one gather per block type copies
-    a chunk's blocks into stacked (b, k, k), (b, l, l) and (b, k, l) arrays,
-    and one vectorized pass reduces them to b statistics.  A chunk holds at
-    most about 2^18 gathered scalars (2 MB), or one iteration if a single
-    one needs more, so memory stays bounded per lane whatever the iteration
-    count.  The chunks run on _run_lanes, the seeded lane runner the exact
-    replications of simulate.variance_table share.  When one iteration
-    gathers at least 2^14 scalars (k = l >= 74), they are shared out over one
-    lane (a thread with its own Generator and index buffers) per available
-    CPU; each chunk keeps its boundaries, its streams and its slice of the
-    output, so the result is bit-identical to a run on one lane.
+    The iterations are evaluated in chunks of b iterations, about 2^18
+    Gram entries over the three blocks (2 MB), or one iteration if a single
+    one needs more.  A chunk's stacked (b, k, l), (b, k, k) and (b, l, l)
+    blocks are gathered in turn into one buffer, each reduced to b terms in
+    one vectorized pass before the next is gathered.  So a lane holds one
+    gather buffer and one index buffer of b * max(k, l)^2 entries each, 16 b
+    max(k, l)^2 bytes in all: about 1.4 MB at most when k = l, and 16 k^2
+    once one iteration fills a chunk (k = l >= 210).  The chunks run on
+    _run_lanes, the seeded lane runner the exact replications of
+    simulate.variance_table share.  When one iteration gathers at least 2^14 scalars (k = l >= 74),
+    they are shared out over one lane (a thread with its own Generator and
+    buffers) per available CPU; each chunk keeps its boundaries, its streams
+    and its slice of the output, so the result is bit-identical to a run on
+    one lane.  With the Gram matrix of x (8 n^2 bytes), up to 32 lanes of the
+    default plan (k = n // 8 >= 210, so n >= 1680) fit in 16 n^2 bytes.
     """
     _check_kind(kind)
     x = as_sample(x, "x")
@@ -422,14 +436,15 @@ def _run_lanes(prefix, count, chunk, workers, lane):
 
     Item i draws from the stream default_rng([*prefix, i]).  All streams are
     seeded in one pass before any lane starts (see _stream_states), and each
-    lane owns one Generator; stream(i) resets it to item i's stream and
-    returns it.  lane(stream) is called once per lane, so it can allocate the
-    lane's buffers, and returns work(start, stop), which handles the items
-    [start, stop).  Lane 0 runs in the calling thread and the others on one
-    thread pool; each lane takes the next chunk not yet started until none is
-    left.  As long as work writes only its own items' results, those do not
-    depend on the lane count.  A failure in any lane stops every lane from
-    taking a further chunk and is re-raised here.
+    lane owns one Generator; stream(i) resets it to item i's stream, whose
+    state dict it builds only then, and returns it.  lane(stream) is called
+    once per lane, so it can allocate the lane's buffers, and returns
+    work(start, stop), which handles the items [start, stop).  Lane 0 runs
+    in the calling thread and the others on one thread pool; each lane takes
+    the next chunk not yet started until none is left.  As long as work
+    writes only its own items' results, those do not depend on the lane
+    count.  A failure in any lane stops every lane from taking a further
+    chunk and is re-raised here.
     """
     states = _stream_states(prefix, count)
     starts = range(0, count, chunk)
@@ -441,7 +456,7 @@ def _run_lanes(prefix, count, chunk, workers, lane):
         rng = np.random.Generator(bits)
 
         def stream(i):
-            bits.state = states[i]
+            bits.state = _pcg64_state(*states[i])
             return rng
 
         try:
@@ -474,7 +489,13 @@ def _subsample_variance(k_full, kinds, plan, m, seed):
 
     All kinds share each chunk's index sets and gathered blocks.  The chunks
     run on _run_lanes, on one lane per CPU above the _LANE_SCALARS gate and
-    on the calling thread alone below it.
+    on the calling thread alone below it.  A lane holds one index buffer and
+    one gather buffer of most * max(k, l)^2 entries each, most the
+    iterations of a full chunk: _raw_statistics reduces each block before
+    the next is gathered, so the cross block (gathered first, for the shift)
+    and the two within-pool blocks take turns in the gather buffer.  Once one
+    iteration fills a chunk (k = l >= 210) a lane holds 16 k^2 bytes, so with
+    k_full (8 n^2) up to 32 lanes of the default plan fit in 16 n^2 bytes.
     """
     n = k_full.shape[0]
     k, l = plan.k, plan.l
@@ -489,18 +510,21 @@ def _subsample_variance(k_full, kinds, plan, m, seed):
         most = min(chunk, plan.iterations)
         one = np.empty((most, k), dtype=np.intp)
         two = np.empty((most, l), dtype=np.intp)
+        # One index buffer and one gather buffer, each sized for the largest
+        # block, allocated once: fresh ones per chunk can be trimmed from the
+        # heap and faulted in again every time.
         index = np.empty(most * max(k, l) ** 2, dtype=np.intp)
-        # Gather outputs allocated once: fresh ones per chunk can be trimmed
-        # from the heap and faulted in again every time.
-        blocks_x, blocks_y, blocks_xy = (np.empty((most, r, c)) for r, c in ((k, k), (l, l), (k, l)))
+        gathered = np.empty(most * max(k, l) ** 2)
 
-        def gather(rows, cols, out):
-            idx = index[:rows.size * cols.shape[1]].reshape(*rows.shape, cols.shape[1])
+        def gather(rows, cols):
+            shape = (*rows.shape, cols.shape[1])
+            size = rows.size * cols.shape[1]
+            idx = index[:size].reshape(shape)
             np.add((rows * n)[:, :, None], cols[:, None, :], out=idx)
             # The indices lie in [0, n^2) by construction.  mode="raise" would
             # route out through a temporary copy, about 0.45 s CPU per 1000
             # iterations at n = 2000.
-            return flat.take(idx, out=out[:len(rows)], mode="clip")
+            return flat.take(idx, out=gathered[:size].reshape(shape), mode="clip")
 
         def work(start, stop):
             for row, i in enumerate(range(start, stop)):
@@ -509,9 +533,10 @@ def _subsample_variance(k_full, kinds, plan, m, seed):
                 two[row] = rng.choice(n - plan.n1, size=l, replace=False)
             b = stop - start
             two[:b] += plan.n1
-            values = _raw_statistics(kinds, gather(one[:b], one[:b], blocks_x),
-                                     gather(two[:b], two[:b], blocks_y),
-                                     gather(one[:b], two[:b], blocks_xy))
+            # _raw_statistics reduces each block before it draws the next, so
+            # the three blocks take turns in the one gather buffer.
+            pairs = ((one[:b], two[:b]), (one[:b], one[:b]), (two[:b], two[:b]))
+            values = _raw_statistics(kinds, (gather(rows, cols) for rows, cols in pairs))
             for kind in kinds:
                 raw[kind][start:stop] = values[kind]
 
@@ -731,7 +756,11 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     at most two n x n float64 arrays at once (about 16 n^2 bytes: 64 MB at
     n = 2000, 1.6 GB at n = 10000), counting the copy eigvalsh makes.  For
     that, K~_X is not kept for a run of both kinds: the second kind rebuilds
-    it, in the freed buffer.  The chi-square draws run after those arrays
+    it, in the freed buffer.  While K_X is subsampled, each lane adds one
+    gather buffer and one index buffer (see subsample_variance): about
+    1.4 MB per lane at most with the default plan, and 16 k^2 bytes once one
+    iteration fills a chunk (k >= 210, n >= 1680), so up to 32 lanes keep
+    the two-array bound there.  The chi-square draws run after those arrays
     are freed and refill one block of at most 2^17 normals (1 MB), so they
     never set the peak.
     """

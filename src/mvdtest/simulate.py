@@ -161,21 +161,27 @@ def _exact_scaled(kinds, spec, n, m, d, key, reps):
     Replication rep draws from its own stream [*key, 0, rep].  The reps run
     one at a time on null._run_lanes, one lane per available CPU, each rep
     filling its own entry; so the arrays equal the serial loop's bit for bit.
+    Each lane holds one Gram buffer of max(n, m)^2 scalars, which takes the
+    rep's three blocks in turn.
     """
     scaled = {kind: np.empty(reps) for kind in kinds}
 
     def lane(stream):
-        # One set of Gram buffers per lane, refilled by every rep: fresh
-        # blocks per rep can make the allocator hand pages back and fault them
-        # in again, at a cost that depends on the allocator's state.
-        k_x, k_y, k_xy = np.empty((n, n)), np.empty((m, m)), np.empty((n, m))
+        # One Gram buffer per lane, refilled by every block of every rep:
+        # _raw_statistics reduces each block before it draws the next, and
+        # fresh blocks per rep can make the allocator hand pages back and
+        # fault them in again, at a cost that depends on the allocator's state.
+        buffer = np.empty(max(n, m) ** 2)
+
+        def blocks(x, y):
+            for a, b in ((x, y), (x, x), (y, y)):
+                yield gram(a, b, spec, out=buffer[:len(a) * len(b)].reshape(len(a), len(b)))
 
         def work(start, stop):
             for rep in range(start, stop):
                 rng = stream(rep)
                 x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
-                raws = _raw_statistics(kinds, gram(x, x, spec, out=k_x), gram(y, y, spec, out=k_y),
-                                       gram(x, y, spec, out=k_xy))
+                raws = _raw_statistics(kinds, blocks(x, y))
                 for kind in kinds:
                     scaled[kind][rep] = (n + m) * max(float(raws[kind]), 0.0)
 

@@ -209,18 +209,20 @@ def mmd_sq_by_sampling(mu, var, sigma, pairs=10**6, seed=20260819):
     return est, se
 
 
-def isotropic_sq_by_decimal(t, s, d, sigma):
+def isotropic_sq_by_decimal(t, s, d, sigma, c=0.0):
     """(mvd_sq, mmd_sq) between N(0, I_d) and N(t * 1, s * I_d) in 50-digit decimal arithmetic.
 
     Evaluates the hand-expanded isotropic formulas (ten terms for mvd, three
     for mmd) from the exact binary values of the float inputs.  The terms are
     of order one, so the cancellation near P = Q that costs float64 six or
-    seven digits still leaves about forty here.
+    seven digits still leaves about forty here.  The kernel scale c enters as
+    the factors e^(2c) (mvd) and e^c (mmd), also taken in decimal, so a value
+    beyond float64's range at c = 0 is still right at c.
     """
     with decimal.localcontext() as ctx:
         ctx.prec = 50
         one = decimal.Decimal(1)
-        t, s, g = decimal.Decimal(t), decimal.Decimal(s), decimal.Decimal(sigma)
+        t, s, g, c = decimal.Decimal(t), decimal.Decimal(s), decimal.Decimal(sigma), decimal.Decimal(c)
         half = decimal.Decimal(-d) / 2
 
         def shifted(den, rate):
@@ -242,7 +244,7 @@ def isotropic_sq_by_decimal(t, s, d, sigma):
                + 2 * (one + 2 * g * s) ** half * shifted(den3, 2)
                - 2 * den4**half * shifted(den4, 2))
         mmd = (one + 4 * g) ** half + (one + 4 * g * s) ** half - 2 * shifted(den4, 1)
-        return float(mvd), float(mmd)
+        return float(mvd * (2 * c).exp()), float(mmd * c.exp())
 
 
 

@@ -20,7 +20,7 @@ from mvdtest import (
     mvd_sq_gaussian,
     mvd_sq_isotropic,
 )
-from mvdtest.kernels import _rescale
+from mvdtest.closed_form import _cov_inner, _mean_inner
 
 # Frozen quadrature values (independent numeric integration of the defining
 # Gaussian integrals, absolute error < 1e-8).
@@ -275,6 +275,18 @@ class TestLargeDimension:
         want = math.exp(c) * ref.isotropic_sq_by_decimal(t, s, d, sigma)[1]
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
+    @pytest.mark.parametrize("d", [700, 800, 900])
+    @pytest.mark.parametrize("func, index", [(mvd_sq_isotropic, 0), (mmd_sq_isotropic, 1)], ids=["mvd", "mmd"])
+    def test_scale_enters_each_term_before_exp(self, func, index, d):
+        # Scaled only after exp, mvd read 0.0 at d = 700 and 800 (its C = 0
+        # value is below float64's range) and mmd at d = 900 was 6e-10 off.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = func(0.5, 1.0, d, 1.0, 300.0)
+        want = ref.isotropic_sq_by_decimal(0.5, 1.0, d, 1.0, 300.0)[index]
+        assert want > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
     def test_mean_embedding_norm_stays_positive(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -358,17 +370,23 @@ class TestCurves:
     @pytest.mark.parametrize("d,c", [(1, 0.0), (5, 0.3)])
     def test_rows_equal_the_per_point_forms_bit_for_bit(self, d, c):
         # P and its norms are computed once per call; every row must keep the
-        # bits of |P|^2 + |q|^2 - 2<P, q> built afresh at each grid point.
+        # bits of |P|^2 + |q|^2 - 2<P, q> built afresh at each grid point,
+        # from inner products that carry the scale c inside each term.
         t_grid, s_grid, sigma = [0.0, 0.5, 1.5], [0.8, 1.0, 2.5], 0.15
         want = []
         for t in t_grid:
             for s in s_grid:
                 p, q = GaussianSpec.standard(d), GaussianSpec.isotropic(t, s, d)
-                mmd = max(mean_embedding_norm_sq(p, sigma) + mean_embedding_norm_sq(q, sigma)
-                          - 2.0 * mean_embedding_inner(p, q, sigma), 0.0)
-                mvd = max(cov_operator_norm_sq(p, sigma) + cov_operator_norm_sq(q, sigma)
-                          - 2.0 * cov_operator_inner(p, q, sigma), 0.0)
-                want.append((t, s, _rescale(mmd, c, 1.0), _rescale(mvd, c, 2.0)))
+                mmd = max(_mean_inner(p, p, sigma, c) + _mean_inner(q, q, sigma, c)
+                          - 2.0 * _mean_inner(p, q, sigma, c), 0.0)
+                mvd = max(_cov_inner(p, p, sigma, c) + _cov_inner(q, q, sigma, c)
+                          - 2.0 * _cov_inner(p, q, sigma, c), 0.0)
+                want.append((t, s, mmd, mvd))
+                if c == 0.0:  # the public inner products are the terms at c = 0
+                    assert mmd == max(mean_embedding_norm_sq(p, sigma) + mean_embedding_norm_sq(q, sigma)
+                                      - 2.0 * mean_embedding_inner(p, q, sigma), 0.0)
+                    assert mvd == max(cov_operator_norm_sq(p, sigma) + cov_operator_norm_sq(q, sigma)
+                                      - 2.0 * cov_operator_inner(p, q, sigma), 0.0)
         np.testing.assert_array_equal(mvd_mmd_curves(t_grid, s_grid, d, sigma, c=c), want)
 
     def test_scale_changes_the_ranking(self):

@@ -38,7 +38,7 @@ from mvdtest import (
     variance_table,
 )
 from mvdtest.kernels import _rescale, gram_set_from_blocks
-from mvdtest.discrepancy import _POWER, statistic
+from mvdtest.discrepancy import _POWER, _block_terms, _combine_terms, _shift, statistic
 from mvdtest.null import _law_moments
 
 CHI2_1_Q95 = 3.841458820694124  # 0.95 quantile of chi-square with 1 degree of freedom
@@ -56,6 +56,34 @@ def _reference_subsample_variance(x, spec, kind, plan, m, seed):
         vals[i] = (plan.k + plan.l) * statistic(g, kind)
     scale = ((n + m) ** 4 / (n**2 * m**2)) * ((plan.k * plan.l) ** 2 / (plan.k + plan.l) ** 4)
     return vals.var(ddof=1) * scale
+
+
+def _separate_block_v_subs(k_full, kinds, plan, m, seed):
+    """_subsample_variance with each chunk's three blocks gathered into arrays of their own.
+
+    The chunks, streams and reductions are those of the lanes (k_x, k_y,
+    k_xy, shifted by the mean of k_xy's first row), so the values must be
+    equal, not just close.
+    """
+    n, k, l = k_full.shape[0], plan.k, plan.l
+    chunk = max(1, mvdtest.null._CHUNK_SCALARS // (k * k + l * l + k * l))
+    raw = {kind: [] for kind in kinds}
+    for start in range(0, plan.iterations, chunk):
+        one, two = [], []
+        for i in range(start, min(start + chunk, plan.iterations)):
+            rng = np.random.default_rng([seed, 0, i])
+            one.append(rng.choice(plan.n1, size=k, replace=False))
+            two.append(plan.n1 + rng.choice(n - plan.n1, size=l, replace=False))
+        one, two = np.array(one), np.array(two)
+        k_x = k_full[one[:, :, None], one[:, None, :]]
+        k_y = k_full[two[:, :, None], two[:, None, :]]
+        k_xy = k_full[one[:, :, None], two[:, None, :]]
+        shift = _shift(k_xy)
+        terms = [_block_terms(kinds, b, shift) for b in (k_x, k_y, k_xy)]
+        for kind, values in _combine_terms(kinds, *terms, k, l).items():
+            raw[kind].extend(values)
+    scale = ((n + m) ** 4 / (n**2 * m**2)) * ((k * l) ** 2 / (k + l) ** 4)
+    return tuple(float(((k + l) * np.maximum(np.array(raw[kind]), 0.0)).var(ddof=1) * scale) for kind in kinds)
 
 
 def _unit_weights(values):
@@ -561,6 +589,40 @@ class TestSubsampleLanes:
                                        _reference_subsample_variance(x, spec, kind, self.ABOVE, 350, self.SEED),
                                        rtol=1e-12)
 
+    @pytest.mark.parametrize("plan", [ABOVE, BELOW], ids=["above", "below"])
+    @pytest.mark.parametrize("sigma", [1e-3, 20.0])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lanes_equal_a_loop_over_separate_blocks(self, plan, sigma, workers, monkeypatch):
+        # A lane's one gather buffer takes a chunk's three blocks in turn; that
+        # must move no bit against three arrays of their own, on any lane count.
+        k_x = self._k_x(sigma)
+        monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: workers)
+        for kinds in (("mvd", "mmd"), ("mmd", "mvd")):
+            want = _separate_block_v_subs(k_x, kinds, plan, 350, self.SEED)
+            assert mvdtest.null._subsample_variance(k_x, kinds, plan, 350, self.SEED) == want
+
+    def test_each_lane_holds_one_gather_and_one_index_buffer(self, monkeypatch):
+        # n = 600 gives the default k = l = 75, above the gate: chunks of 15
+        # iterations, so 60 iterations keep four lanes busy.  Above the
+        # caller's Gram matrix, the traced peak must stay under each lane's
+        # two buffers of 15 * 75^2 scalars plus a fixed slack for the index
+        # draws, the block terms and the stream states.
+        x = np.random.default_rng(71).normal(size=(600, 2))
+        k_x = gram(x, x, KernelSpec(sigma=0.5))
+        plan = SubsamplingPlan.for_sample(600, iterations=60)
+        most = mvdtest.null._CHUNK_SCALARS // (3 * plan.k**2)
+        assert (plan.k, most) == (75, 15) and plan.iterations // most == 4
+        buffers = 2 * 8 * most * plan.k**2
+        monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: 4)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), plan, 600, 5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * buffers + (1 << 19)
+
     def test_only_plans_above_the_gate_start_a_pool(self, monkeypatch):
         pools = []
         lanes = set()
@@ -625,7 +687,7 @@ class TestStreamStates:
     @pytest.mark.parametrize("middle", [(0,), (3, 0)], ids=["seed-0-i", "seed-3-0-i"])
     def test_states_match_default_rng(self, seed, middle):
         prefix = (seed, *middle)
-        got = mvdtest.null._pcg64_states(prefix, self.INDICES)
+        got = [mvdtest.null._pcg64_state(*pair) for pair in mvdtest.null._pcg64_states(prefix, self.INDICES)]
         assert got == [np.random.default_rng([*prefix, i]).bit_generator.state for i in self.INDICES]
 
     @pytest.mark.parametrize("seed", [7, 2**70 + 3])
@@ -633,8 +695,8 @@ class TestStreamStates:
         states = mvdtest.null._stream_states((seed, 0), 1000)
         bits = np.random.PCG64()
         rng = np.random.Generator(bits)
-        for i, state in enumerate(states):
-            bits.state = state
+        for i, pair in enumerate(states):
+            bits.state = mvdtest.null._pcg64_state(*pair)
             want = np.random.default_rng([seed, 0, i])
             assert np.array_equal(rng.choice(100, size=25, replace=False),
                                   want.choice(100, size=25, replace=False))
@@ -654,7 +716,8 @@ class TestStreamStates:
                 x, KernelSpec(sigma=0.7), kind, plan, 30, seed), rtol=1e-12)
 
         def default_rng_states(prefix, count):
-            return [np.random.default_rng([*prefix, i]).bit_generator.state for i in range(count)]
+            states = [np.random.default_rng([*prefix, i]).bit_generator.state["state"] for i in range(count)]
+            return [(state["state"], state["inc"]) for state in states]
 
         monkeypatch.setattr(mvdtest.null, "_stream_states", default_rng_states)
         assert mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), plan, 30, seed) == got
@@ -664,8 +727,8 @@ class TestStreamStates:
 
         def off_by_one(prefix, indices):
             states = real(prefix, indices)
-            pcg = states[0]["state"]
-            states[0] = {**states[0], "state": {**pcg, "state": pcg["state"] ^ 1}}
+            state, inc = states[0]
+            states[0] = (state ^ 1, inc)
             return states
 
         monkeypatch.setattr(mvdtest.null, "_pcg64_states", off_by_one)

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,10 @@ from mvdtest import (
     type1_power_table,
     variance_table,
 )
-from mvdtest.simulate import _variance_se
+from mvdtest.discrepancy import _block_terms, _combine_terms, _shift
+from mvdtest.kernels import gram
+from mvdtest.null import SubsamplingPlan, _subsample_variance
+from mvdtest.simulate import _derived_seed, _variance_se
 
 BAD_CELLS = [
     ("d^-3/4", 2, 3, 32),
@@ -357,6 +361,52 @@ class TestVarianceTableThreads:
             rows.append(variance_table(cells=self.CELLS, reps=self.REPS, divisors=(4,), iterations=10,
                                        seed=2**40 + 1).rows)
         assert rows[1] == rows[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_a_loop_over_separate_blocks(self, workers, monkeypatch):
+        # A lane's one Gram buffer takes a rep's three blocks in turn; that
+        # must move no bit against three arrays of their own (n != m).
+        (rule, d, n, m), reps, seed = self.CELLS[0], 40, 5
+        kinds = ("mvd", "mmd")
+        monkeypatch.setattr(mvdtest.simulate, "_worker_count", lambda: workers)
+        rows = variance_table([self.CELLS[0]], kinds=kinds, reps=reps, divisors=(4,), iterations=10,
+                              seed=seed).rows
+        spec = KernelSpec(sigma=sigma_from_rule(rule, d))
+        scaled = {kind: np.empty(reps) for kind in kinds}
+        for rep in range(reps):
+            rng = np.random.default_rng([seed, 0, 0, rep])
+            x, y = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+            k_x, k_y, k_xy = gram(x, x, spec), gram(y, y, spec), gram(x, y, spec)
+            shift = _shift(k_xy)
+            raws = _combine_terms(kinds, *[_block_terms(kinds, b, shift) for b in (k_x, k_y, k_xy)], n, m)
+            for kind in kinds:
+                scaled[kind][rep] = (n + m) * max(float(raws[kind]), 0.0)
+        # The subsampled rows come from _subsample_variance, whose lanes
+        # test_null holds to the same kind of loop.
+        x = np.random.default_rng([seed, 0, 2, 4]).standard_normal((n, d))
+        v_subs = _subsample_variance(gram(x, x, spec), kinds, SubsamplingPlan.for_sample(n, 4, 10), m,
+                                     _derived_seed(seed, 0, 1, 4))
+        want = [("exact_variance", kind, float(scaled[kind].var(ddof=1)), _variance_se(scaled[kind]))
+                for kind in kinds]
+        want += [("subsample_variance", kind, v_sub, None) for kind, v_sub in zip(kinds, v_subs)]
+        want += [("slope", kind, slope_regression([(v_sub, want[i][2])]), None)
+                 for i, (kind, v_sub) in enumerate(zip(kinds, v_subs))]
+        assert [(r["estimate"], r["kind"], r["value"], r["se"]) for r in rows] == want
+
+    def test_each_exact_lane_holds_one_gram_buffer(self, monkeypatch):
+        # n = 300 > m = 200: the two exact lanes' buffers of n^2 scalars set
+        # the traced peak, above the subsampling's Gram matrix of x and its
+        # one lane's buffers (k = 37, 10 iterations).  The slack, fixed in
+        # advance, covers the samples, the block terms and the stream states.
+        monkeypatch.setattr(mvdtest.simulate, "_worker_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            variance_table([("d^-1", 2, 300, 200)], reps=4, divisors=(8,), iterations=10, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * 300**2 + (1 << 19)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failure_in_a_replication_reaches_the_caller(self, workers, monkeypatch):
