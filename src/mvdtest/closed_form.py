@@ -79,9 +79,10 @@ def _standard(d, sigma, kinds, c):
     """P = N(0, I_d) and {kind: |P|^2} under the kernel e^c k for each kind's operator, shared by every q.
 
     Every closed form enters here before it evaluates a point, so this is
-    where the kernel scale c is checked.
+    where the kernel scale c and the bandwidth sigma are checked.
     """
     _check_log_scale(c)
+    _check_sigma(sigma)
     p = GaussianSpec.standard(d)
     return p, {kind: _inner(kind, p, p, sigma, c) for kind in kinds}
 

@@ -250,6 +250,24 @@ class TestIsotropicSpecialization:
             with pytest.raises(ValueError, match=re.escape(message)):
                 func(t, s, 3, 0.1)
 
+    @pytest.mark.parametrize("sigma", [0, 0.0, -0.1, math.nan, math.inf, True])
+    def test_rejects_a_bad_bandwidth(self, sigma):
+        # The private inner products check nothing, so each public form must.
+        message = re.escape(f"sigma must be a positive finite real, got {sigma!r}")
+        q = GaussianSpec.isotropic(0.5, 1.0, 2)
+        for func in (mvd_sq_gaussian, mmd_sq_gaussian):
+            with pytest.raises(ValueError, match=message):
+                func(q, sigma)
+        for func in (mvd_sq_isotropic, mmd_sq_isotropic):
+            with pytest.raises(ValueError, match=message):
+                func(0.5, 1.0, 2, sigma)
+            with pytest.raises(ValueError, match=message):
+                func(0.5, 1.0, 2, sigma, 3.0)
+        with pytest.raises(ValueError, match=message):
+            mvd_mmd_curves([0.0, 1.0], [1.0], 2, sigma)
+        with pytest.raises(ValueError, match=message):
+            mvd_mmd_curves([], [], 2, sigma)
+
     @pytest.mark.parametrize("d", [0, -3, 2.5, 5.0, True, None])
     def test_rejects_a_bad_dimension(self, d):
         message = re.escape(f"d must be an integer >= 1, got {d!r}")
