@@ -45,18 +45,19 @@ TAU_TABLE = {
 _BLOCK_SCALARS = 1 << 17
 
 # Cap on Gram entries, over its three blocks, per chunk of subsampling
-# iterations (2 MB).  A lane gathers the blocks in turn into one buffer of the
-# largest one, which sits on top of the n x n Gram matrix, so the cap keeps
-# it a small share of a 200-row study's memory, while a chunk still spreads
-# numpy's per-call cost over many iterations (139 at n = 200 with the default
-# plan).
+# iterations (2 MB).  A lane takes the blocks in turn in one buffer of the
+# largest one, which holds a block's flat indices and then the block gathered
+# over them: at most about 0.7 MB while a chunk holds several iterations.  It
+# sits on top of the n x n Gram matrix, so the cap keeps it a small share of a
+# 200-row study's memory, while a chunk still spreads numpy's per-call cost
+# over many iterations (139 at n = 200 with the default plan).
 _CHUNK_SCALARS = 1 << 18
 
 # Scalars one subsampling iteration must gather before its chunks are spread
 # over several threads (k = l >= 74).  Below it an iteration's index draws,
 # which hold the GIL (about 50 us), are a large share of its work, so a second
-# lane gains little end to end while its buffers and thread raise the peak
-# RSS of a 200-row study by about 2% (1.5 of 71 MB over three one-rep power
+# lane gains little end to end while its buffer and thread raise the peak
+# RSS of a 200-row study by about 1% (0.6 of 70.4 MB over three one-rep power
 # tables of the Tier-1 cell on a 2-vCPU VM); CHANGES.md has the measurements.
 _LANE_SCALARS = 1 << 14
 
@@ -85,16 +86,17 @@ def _check_draw_seed(seed):
 
 
 def _pcg64_states(prefix, indices):
-    """The PCG64 (state, inc) of default_rng([*prefix, i]) for each i in indices, in one pass.
+    """The SeedSequence words of default_rng([*prefix, i]) for each i in indices, in one pass.
 
-    Each pair is two Python ints, which _pcg64_state turns into the
-    bit_generator.state dict: about 140 bytes a stream, against 470 for the
-    dict.
+    Row j holds the four uint64 words generate_state(4, uint64) gives stream
+    indices[j], which PCG64 takes as (state_hi, state_lo, seq_hi, seq_lo);
+    _pcg64_state turns one row into the bit_generator.state dict.  A row is
+    32 bytes, against about 470 for the dict.
 
     This replays SeedSequence (entropy hashed into a pool of four uint32
     words, then generate_state(4, uint64)) on uint32 arrays with one element
-    per index, and PCG64's set-seed on Python ints.  The prefix entries must
-    be non-negative ints and every index below 2^32.
+    per index.  The prefix entries must be non-negative ints and every index
+    below 2^32.
     """
     indices = np.asarray(indices, dtype=np.uint64)
     if indices.size and int(indices.max()) > _MASK32:
@@ -140,33 +142,35 @@ def _pcg64_states(prefix, indices):
             value = value * np.uint32(hash_const)
             out.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
     # generate_state(4, uint64): pairs of uint32 words, low word first.
-    seeds = [(out[2 * i] | (out[2 * i + 1] << np.uint64(32))).tolist() for i in range(4)]
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        states.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
+    return np.stack([out[2 * i] | (out[2 * i + 1] << np.uint64(32)) for i in range(4)], axis=1)
 
 
-def _pcg64_state(state, inc):
-    """The bit_generator.state dict of a fresh PCG64 stream with this state and increment."""
+def _pcg64_state(words):
+    """The bit_generator.state dict of a fresh PCG64 seeded with these four SeedSequence words.
+
+    This is PCG64's set-seed on Python ints: tolist() turns the row into
+    them at once, faster than converting each numpy scalar.
+    """
+    state_hi, state_lo, seq_hi, seq_lo = words.tolist()
+    inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+    state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
 def _stream_states(prefix, count):
-    """The PCG64 (state, inc) of the streams default_rng([*prefix, i]) for i in range(count).
+    """The SeedSequence words of the streams default_rng([*prefix, i]) for i in range(count).
 
-    Assigning _pcg64_state(*states[i]) to a PCG64's state gives exactly the
+    Assigning _pcg64_state(words[i]) to a PCG64's state gives exactly the
     stream default_rng([*prefix, i]) would, at a fraction of the cost of
     building it.  Stream 0 is checked against default_rng once per call, so
     a numpy whose seeding differs fails loudly instead of drawing other
     numbers.
     """
-    states = _pcg64_states(prefix, np.arange(count))
-    if _pcg64_state(*states[0]) != np.random.default_rng([*prefix, 0]).bit_generator.state:
+    words = _pcg64_states(prefix, np.arange(count))
+    if _pcg64_state(words[0]) != np.random.default_rng([*prefix, 0]).bit_generator.state:
         raise RuntimeError(f"numpy {np.__version__} seeds default_rng differently from the "
                            "SeedSequence and PCG64 algorithms mvdtest replays")
-    return states
+    return words
 
 
 def default_tau(kind, fraction):
@@ -379,24 +383,28 @@ def subsample_variance(x, spec, kind, plan, m, seed=0):
     from the raw rows.  Iteration i draws its rows from the stream
     default_rng([seed, 0, i]), seed a non-negative integer, so the rows it
     uses do not depend on evaluation order; these are the streams of a test
-    run with the same seed.  All streams are seeded in one vectorized pass;
-    stream 0 is checked against default_rng on every call, and a mismatch (a
-    numpy that seeds differently) raises RuntimeError.
+    run with the same seed.  All streams' SeedSequence words are computed in
+    one vectorized pass, and a stream's state is built from its words when a
+    lane resets to it; stream 0 is checked against default_rng on every
+    call, and a mismatch (a numpy that seeds differently) raises
+    RuntimeError.
     The iterations are evaluated in chunks of b iterations, about 2^18
     Gram entries over the three blocks (2 MB), or one iteration if a single
     one needs more.  A chunk's stacked (b, k, l), (b, k, k) and (b, l, l)
-    blocks are gathered in turn into one buffer, each reduced to b terms in
-    one vectorized pass before the next is gathered.  So a lane holds one
-    gather buffer and one index buffer of b * max(k, l)^2 entries each, 16 b
-    max(k, l)^2 bytes in all: about 1.4 MB at most when k = l, and 16 k^2
-    once one iteration fills a chunk (k = l >= 210).  The chunks run on
-    _run_lanes, the seeded lane runner the exact replications of
-    simulate.variance_table share.  When one iteration gathers at least 2^14 scalars (k = l >= 74),
-    they are shared out over one lane (a thread with its own Generator and
-    buffers) per available CPU; each chunk keeps its boundaries, its streams
-    and its slice of the output, so the result is bit-identical to a run on
-    one lane.  With the Gram matrix of x (8 n^2 bytes), up to 32 lanes of the
-    default plan (k = n // 8 >= 210, so n >= 1680) fit in 16 n^2 bytes.
+    blocks are gathered in turn into one buffer of b * max(k, l)^2 entries,
+    each over flat indices written into that same buffer, and each reduced
+    to b terms in one vectorized pass before the next is gathered.  So a
+    lane holds 8 b max(k, l)^2 bytes: about 0.7 MB at most when k = l < 210,
+    and 8 k^2 once one iteration fills a chunk (k = l >= 210).  The chunks
+    run on _run_lanes, the seeded lane runner the exact replications of
+    simulate.variance_table share.  When one iteration gathers at least 2^14
+    scalars (k = l >= 74), they are shared out over one lane (a thread with
+    its own Generator and buffer) per available CPU; each chunk keeps its
+    boundaries, its streams and its slice of the output, so the result is
+    bit-identical to a run on one lane.  With the Gram matrix of x (8 n^2
+    bytes) and the default plan, 4 lanes fit in 16 n^2 bytes wherever lanes
+    start (n >= 592), L <= 64 lanes once n is about 296 sqrt(L) or more,
+    and 64 lanes once k = n // 8 >= 210.
     """
     _check_kind(kind)
     x = as_sample(x, "x")
@@ -434,17 +442,17 @@ def _worker_count():
 def _run_lanes(prefix, count, chunk, workers, lane):
     """Run items [0, count) in chunks of chunk on min(workers, chunks) lanes.
 
-    Item i draws from the stream default_rng([*prefix, i]).  All streams are
-    seeded in one pass before any lane starts (see _stream_states), and each
-    lane owns one Generator; stream(i) resets it to item i's stream, whose
-    state dict it builds only then, and returns it.  lane(stream) is called
-    once per lane, so it can allocate the lane's buffers, and returns
-    work(start, stop), which handles the items [start, stop).  Lane 0 runs
-    in the calling thread and the others on one thread pool; each lane takes
-    the next chunk not yet started until none is left.  As long as work
-    writes only its own items' results, those do not depend on the lane
-    count.  A failure in any lane stops every lane from taking a further
-    chunk and is re-raised here.
+    Item i draws from the stream default_rng([*prefix, i]).  The SeedSequence
+    words of all streams are computed in one pass before any lane starts
+    (see _stream_states), and each lane owns one Generator; stream(i) resets
+    it to item i's stream, whose state it builds from those words only then,
+    and returns it.  lane(stream) is called once per lane, so it can
+    allocate the lane's buffers, and returns work(start, stop), which
+    handles the items [start, stop).  Lane 0 runs in the calling thread and
+    the others on one thread pool; each lane takes the next chunk not yet
+    started until none is left.  As long as work writes only its own items'
+    results, those do not depend on the lane count.  A failure in any lane
+    stops every lane from taking a further chunk and is re-raised here.
     """
     states = _stream_states(prefix, count)
     starts = range(0, count, chunk)
@@ -456,7 +464,7 @@ def _run_lanes(prefix, count, chunk, workers, lane):
         rng = np.random.Generator(bits)
 
         def stream(i):
-            bits.state = _pcg64_state(*states[i])
+            bits.state = _pcg64_state(states[i])
             return rng
 
         try:
@@ -489,13 +497,16 @@ def _subsample_variance(k_full, kinds, plan, m, seed):
 
     All kinds share each chunk's index sets and gathered blocks.  The chunks
     run on _run_lanes, on one lane per CPU above the _LANE_SCALARS gate and
-    on the calling thread alone below it.  A lane holds one index buffer and
-    one gather buffer of most * max(k, l)^2 entries each, most the
-    iterations of a full chunk: _raw_statistics reduces each block before
-    the next is gathered, so the cross block (gathered first, for the shift)
-    and the two within-pool blocks take turns in the gather buffer.  Once one
-    iteration fills a chunk (k = l >= 210) a lane holds 16 k^2 bytes, so with
-    k_full (8 n^2) up to 32 lanes of the default plan fit in 16 n^2 bytes.
+    on the calling thread alone below it.  A lane holds one buffer of most *
+    max(k, l)^2 float64 entries, most the iterations of a full chunk:
+    _raw_statistics reduces each block before the next is gathered, so the
+    cross block (gathered first, for the shift) and the two within-pool
+    blocks take turns in it, and each block's flat indices are written into
+    the same memory the take then overwrites with the block.  That is at
+    most about 0.7 MB below k = l = 210 and 8 k^2 bytes from there on, so
+    with k_full (8 n^2) and the default plan 4 lanes fit in 16 n^2 bytes
+    wherever lanes start (n >= 592), L <= 64 lanes from n of about
+    296 sqrt(L), and 64 lanes from k >= 210.
     """
     n = k_full.shape[0]
     k, l = plan.k, plan.l
@@ -510,11 +521,13 @@ def _subsample_variance(k_full, kinds, plan, m, seed):
         most = min(chunk, plan.iterations)
         one = np.empty((most, k), dtype=np.intp)
         two = np.empty((most, l), dtype=np.intp)
-        # One index buffer and one gather buffer, each sized for the largest
-        # block, allocated once: fresh ones per chunk can be trimmed from the
-        # heap and faulted in again every time.
-        index = np.empty(most * max(k, l) ** 2, dtype=np.intp)
-        gathered = np.empty(most * max(k, l) ** 2)
+        # One buffer sized for the largest block, allocated once: fresh ones
+        # per chunk can be trimmed from the heap and faulted in again every
+        # time.  Its int64 view holds a block's flat indices and the take
+        # writes the block over them: take reads each index before it writes
+        # that slot, and both are 8 bytes wide.
+        buffer = np.empty(most * max(k, l) ** 2)
+        index = buffer.view(np.int64)
 
         def gather(rows, cols):
             shape = (*rows.shape, cols.shape[1])
@@ -524,7 +537,7 @@ def _subsample_variance(k_full, kinds, plan, m, seed):
             # The indices lie in [0, n^2) by construction.  mode="raise" would
             # route out through a temporary copy, about 0.45 s CPU per 1000
             # iterations at n = 2000.
-            return flat.take(idx, out=gathered[:size].reshape(shape), mode="clip")
+            return flat.take(idx, out=buffer[:size].reshape(shape), mode="clip")
 
         def work(start, stop):
             for row, i in enumerate(range(start, stop)):
@@ -757,11 +770,13 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     n = 2000, 1.6 GB at n = 10000), counting the copy eigvalsh makes.  For
     that, K~_X is not kept for a run of both kinds: the second kind rebuilds
     it, in the freed buffer.  While K_X is subsampled, each lane adds one
-    gather buffer and one index buffer (see subsample_variance): about
-    1.4 MB per lane at most with the default plan, and 16 k^2 bytes once one
-    iteration fills a chunk (k >= 210, n >= 1680), so up to 32 lanes keep
-    the two-array bound there.  The chi-square draws run after those arrays
-    are freed and refill one block of at most 2^17 normals (1 MB), so they
+    buffer that holds a block's indices and then the block (see
+    subsample_variance): at most about 0.7 MB per lane with the default
+    plan, and 8 k^2 bytes once one iteration fills a chunk (k >= 210,
+    n >= 1680).  So 4 lanes keep the two-array bound wherever lanes start
+    (n >= 592), L <= 64 lanes from n of about 296 sqrt(L), and 64 lanes
+    from n = 1680 on.  The chi-square draws run after those arrays are
+    freed and refill one block of at most 2^17 normals (1 MB), so they
     never set the peak.
     """
     kinds = _check_kinds(kinds)

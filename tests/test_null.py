@@ -550,11 +550,14 @@ class TestSubsampleLanes:
     ABOVE = SubsamplingPlan(n1=200, k=100, l=90, iterations=23)
     # 8325 scalars per iteration, below the gate: four chunks on one lane.
     BELOW = SubsamplingPlan(n1=200, k=60, l=45, iterations=100)
+    # 135475 scalars per iteration: one iteration fills a chunk, as at n = 2000
+    # with the default plan.  Its pools need 440 rows.
+    ONE_PER_CHUNK = SubsamplingPlan(n1=220, k=215, l=210, iterations=5)
     SEED = 31
 
     @staticmethod
-    def _k_x(sigma=0.5):
-        x = np.random.default_rng(67).normal(size=(400, 2))
+    def _k_x(sigma=0.5, rows=400):
+        x = np.random.default_rng(67).normal(size=(rows, 2))
         return gram(x, x, KernelSpec(sigma=sigma, log_scale=0.5))
 
     def test_plans_straddle_the_gate(self):
@@ -563,6 +566,7 @@ class TestSubsampleLanes:
         assert scalars(self.BELOW) < mvdtest.null._LANE_SCALARS <= scalars(self.ABOVE)
         chunk = mvdtest.null._CHUNK_SCALARS // scalars(self.ABOVE)
         assert 2 <= self.ABOVE.iterations // chunk and self.ABOVE.iterations % chunk != 0
+        assert mvdtest.null._CHUNK_SCALARS // scalars(self.ONE_PER_CHUNK) == 1
 
     @pytest.mark.parametrize("plan", [ABOVE, BELOW], ids=["above", "below"])
     @pytest.mark.parametrize("sigma", [1e-3, 20.0])
@@ -589,30 +593,43 @@ class TestSubsampleLanes:
                                        _reference_subsample_variance(x, spec, kind, self.ABOVE, 350, self.SEED),
                                        rtol=1e-12)
 
-    @pytest.mark.parametrize("plan", [ABOVE, BELOW], ids=["above", "below"])
+    @pytest.mark.parametrize("plan,rows", [(ABOVE, 400), (BELOW, 400), (ONE_PER_CHUNK, 440)],
+                             ids=["above", "below", "one-per-chunk"])
     @pytest.mark.parametrize("sigma", [1e-3, 20.0])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_lanes_equal_a_loop_over_separate_blocks(self, plan, sigma, workers, monkeypatch):
-        # A lane's one gather buffer takes a chunk's three blocks in turn; that
-        # must move no bit against three arrays of their own, on any lane count.
-        k_x = self._k_x(sigma)
+    def test_lanes_equal_a_loop_over_separate_blocks(self, plan, rows, sigma, workers, monkeypatch):
+        # A lane's one buffer takes a chunk's three blocks in turn, each
+        # gathered over its own indices; that must move no bit against three
+        # arrays of their own, on any lane count.
+        k_x = self._k_x(sigma, rows)
         monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: workers)
         for kinds in (("mvd", "mmd"), ("mmd", "mvd")):
             want = _separate_block_v_subs(k_x, kinds, plan, 350, self.SEED)
             assert mvdtest.null._subsample_variance(k_x, kinds, plan, 350, self.SEED) == want
 
-    def test_each_lane_holds_one_gather_and_one_index_buffer(self, monkeypatch):
+    def test_each_lane_holds_one_buffer(self, monkeypatch):
         # n = 600 gives the default k = l = 75, above the gate: chunks of 15
         # iterations, so 60 iterations keep four lanes busy.  Above the
         # caller's Gram matrix, the traced peak must stay under each lane's
-        # two buffers of 15 * 75^2 scalars plus a fixed slack for the index
-        # draws, the block terms and the stream states.
+        # one buffer of 15 * 75^2 scalars plus a fixed slack for the index
+        # draws, the block terms and the stream states.  A separate index
+        # buffer, or a copy inside take, would break it.  Each chunk waits for
+        # the other three before it gathers, so all four lanes hold their
+        # buffers at once however the threads are scheduled.
         x = np.random.default_rng(71).normal(size=(600, 2))
         k_x = gram(x, x, KernelSpec(sigma=0.5))
         plan = SubsamplingPlan.for_sample(600, iterations=60)
         most = mvdtest.null._CHUNK_SCALARS // (3 * plan.k**2)
         assert (plan.k, most) == (75, 15) and plan.iterations // most == 4
-        buffers = 2 * 8 * most * plan.k**2
+        buffer = 8 * most * plan.k**2
+        all_lanes = threading.Barrier(4, timeout=60)
+        real_raw = mvdtest.null._raw_statistics
+
+        def raw_once_all_lanes_hold_buffers(*args):
+            all_lanes.wait()
+            return real_raw(*args)
+
+        monkeypatch.setattr(mvdtest.null, "_raw_statistics", raw_once_all_lanes_hold_buffers)
         monkeypatch.setattr(mvdtest.null, "_worker_count", lambda: 4)
         tracemalloc.start()
         try:
@@ -621,7 +638,7 @@ class TestSubsampleLanes:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * buffers + (1 << 19)
+        assert peak <= 4 * buffer + (1 << 19)
 
     def test_only_plans_above_the_gate_start_a_pool(self, monkeypatch):
         pools = []
@@ -687,7 +704,7 @@ class TestStreamStates:
     @pytest.mark.parametrize("middle", [(0,), (3, 0)], ids=["seed-0-i", "seed-3-0-i"])
     def test_states_match_default_rng(self, seed, middle):
         prefix = (seed, *middle)
-        got = [mvdtest.null._pcg64_state(*pair) for pair in mvdtest.null._pcg64_states(prefix, self.INDICES)]
+        got = [mvdtest.null._pcg64_state(words) for words in mvdtest.null._pcg64_states(prefix, self.INDICES)]
         assert got == [np.random.default_rng([*prefix, i]).bit_generator.state for i in self.INDICES]
 
     @pytest.mark.parametrize("seed", [7, 2**70 + 3])
@@ -695,8 +712,8 @@ class TestStreamStates:
         states = mvdtest.null._stream_states((seed, 0), 1000)
         bits = np.random.PCG64()
         rng = np.random.Generator(bits)
-        for i, pair in enumerate(states):
-            bits.state = mvdtest.null._pcg64_state(*pair)
+        for i, words in enumerate(states):
+            bits.state = mvdtest.null._pcg64_state(words)
             want = np.random.default_rng([seed, 0, i])
             assert np.array_equal(rng.choice(100, size=25, replace=False),
                                   want.choice(100, size=25, replace=False))
@@ -716,8 +733,8 @@ class TestStreamStates:
                 x, KernelSpec(sigma=0.7), kind, plan, 30, seed), rtol=1e-12)
 
         def default_rng_states(prefix, count):
-            states = [np.random.default_rng([*prefix, i]).bit_generator.state["state"] for i in range(count)]
-            return [(state["state"], state["inc"]) for state in states]
+            return np.array([np.random.SeedSequence([*prefix, i]).generate_state(4, np.uint64)
+                             for i in range(count)])
 
         monkeypatch.setattr(mvdtest.null, "_stream_states", default_rng_states)
         assert mvdtest.null._subsample_variance(k_x, ("mvd", "mmd"), plan, 30, seed) == got
@@ -726,10 +743,9 @@ class TestStreamStates:
         real = mvdtest.null._pcg64_states
 
         def off_by_one(prefix, indices):
-            states = real(prefix, indices)
-            state, inc = states[0]
-            states[0] = (state ^ 1, inc)
-            return states
+            words = real(prefix, indices)
+            words[0, 1] ^= np.uint64(1)  # the low word of stream 0's state
+            return words
 
         monkeypatch.setattr(mvdtest.null, "_pcg64_states", off_by_one)
         with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)} seeds default_rng"):
