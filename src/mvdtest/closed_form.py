@@ -212,8 +212,8 @@ def _cov_inner(p, q, sigma, c):
     i1 = _mean_inner(p, q, 2.0 * sigma, 2.0 * c)
     i2 = _one_two_term(p, q, sigma, 2.0 * c)
     i3 = _one_two_term(q, p, sigma, 2.0 * c)
-    i4 = _mean_inner(p, q, sigma, c) ** 2
-    return i1 - i2 - i3 + i4
+    m = _mean_inner(p, q, sigma, c)
+    return i1 - i2 - i3 + m * m  # m ** 2 goes through libm pow, which can be an ulp off
 
 
 def cov_operator_norm_sq(p, sigma):

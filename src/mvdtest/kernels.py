@@ -1,11 +1,50 @@
 """Gram-matrix construction and double-centering."""
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+import scipy
+
+
+def _load_sqeuclidean():
+    """scipy's compiled cdist(x, y, "sqeuclidean", out=out), loaded without the rest of scipy.spatial.
+
+    Importing scipy.spatial.distance runs scipy/spatial/__init__.py, which
+    also loads scipy.linalg, scipy.sparse, qhull and the kd-trees.  The
+    extension that holds the kernel, scipy.spatial._distance_pybind, needs
+    none of them, so it is built here from its file alone; nothing is added
+    to sys.modules.  Public cdist is np.asarray, two shape checks and a call
+    to this same function, which raises the same ValueErrors itself, so
+    every block keeps its bits.  The function is checked once, on points
+    with small integer coordinates, whose squared distances are exact in any
+    summation order.  Where the module or the function is missing, or the
+    check fails (a scipy that renamed its private module, say), public cdist
+    is returned instead: the same kernel at the old import cost.
+    """
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.spatial._distance_pybind", [os.path.join(path, "spatial") for path in scipy.__path__])
+    x = np.array([[0.0, 1.0, -2.0], [3.0, -1.0, 4.0]])
+    y = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [-2.0, 5.0, 3.0]])
+    out = np.empty((2, 3))
+    try:  # a spec of None raises the AttributeError
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        kernel = module.cdist_sqeuclidean
+        if kernel(x, y, out=out) is out and np.array_equal(out, ((x[:, None] - y) ** 2).sum(axis=2)):
+            return kernel
+    except (ImportError, AttributeError, TypeError, ValueError):
+        pass
+    from scipy.spatial.distance import cdist
+    return functools.partial(cdist, metric="sqeuclidean")
+
+
+_sqeuclidean = _load_sqeuclidean()
 
 
 def as_sample(values, name="sample"):
@@ -130,10 +169,12 @@ def gram(x, y, spec, *, out=None):
     out, if given, is a float64 len(x) x len(y) array that receives the block
     and is returned, so a caller in a loop can reuse one buffer.
     """
-    # In place on the distances, bit-identical to exp(C - sigma * d2).
-    k = cdist(x, y, "sqeuclidean", out=out)
+    # In place on the distances, bit-identical to exp(C - sigma * d2).  At
+    # C = 0 the sum is skipped: -sigma * d2 <= 0, and exp(-0.0) = exp(0.0).
+    k = _sqeuclidean(x, y, out=out)
     k *= -spec.sigma
-    k += spec.log_scale
+    if spec.log_scale != 0:
+        k += spec.log_scale
     return np.exp(k, out=k)
 
 

@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mvdtest import (
     mvd_sq_gaussian,
     mvd_sq_isotropic,
 )
-from mvdtest.closed_form import _cov_inner, _mean_inner
+from mvdtest.closed_form import _cov_inner, _mean_inner, _one_two_term
 
 # Frozen quadrature values (independent numeric integration of the defining
 # Gaussian integrals, absolute error < 1e-8).
@@ -191,6 +192,16 @@ class TestOperatorDecomposition:
         q = GaussianSpec(rng.normal(size=2), _random_spd(rng, 2))
         np.testing.assert_allclose(cov_operator_inner(p, q, 0.25),
                                    cov_operator_inner(q, p, 0.25), rtol=1e-12)
+
+    @pytest.mark.parametrize("d, t, s, sigma, c", [(1, 0.22, 1.63, 0.09, -0.2), (2, 0.66, 0.31, 0.21, 0.1)])
+    def test_squared_mean_term_is_correctly_rounded(self, d, t, s, sigma, c):
+        # For these cases glibc's pow gives _mean_inner(...) ** 2 one ulp off
+        # its true square, and that ulp reaches the sum of the four terms.
+        p, q = GaussianSpec.standard(d), GaussianSpec.isotropic(t, s, d)
+        m = _mean_inner(p, q, sigma, c)
+        rest = (_mean_inner(p, q, 2.0 * sigma, 2.0 * c) - _one_two_term(p, q, sigma, 2.0 * c)
+                - _one_two_term(q, p, sigma, 2.0 * c))
+        assert _cov_inner(p, q, sigma, c) == rest + float(Fraction(m) ** 2)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -1,13 +1,16 @@
 """Gram-matrix construction and centering."""
 
+import importlib.machinery
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 import reference as ref
-from mvdtest import KernelSpec, as_sample, build_gram_set, center_gram, gram
+from mvdtest import KernelSpec, as_sample, build_gram_set, center_gram, gram, kernels
 from mvdtest.kernels import gram_set_from_blocks
 
 # Hand-frozen 3x3 cross-Gram: x = (0, 1, 3), y = (0.5, 2, 2.5), sigma = 0.7.
@@ -127,7 +130,7 @@ class TestGram:
         np.testing.assert_allclose(lifted, np.exp(1.3) * base, rtol=1e-13)
 
     @pytest.mark.parametrize("sigma", [1e-3, 0.5, 20.0])
-    @pytest.mark.parametrize("c", [-3.0, 0.0, 0.5])
+    @pytest.mark.parametrize("c", [-3.0, 0.0, -0.0, 0.5, 1.3])
     def test_in_place_steps_match_exp_formula(self, sigma, c):
         rng = np.random.default_rng(205)
         x = rng.normal(size=(9, 3))
@@ -154,6 +157,64 @@ class TestGram:
         x = rng.normal(size=(6, 3))
         g = gram(x, x, KernelSpec(sigma=0.9))
         np.testing.assert_array_equal(np.diag(g), np.ones(6))
+
+
+def _fallback_kernel(monkeypatch):
+    """What _load_sqeuclidean returns where it cannot find scipy's extension."""
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args, **kwargs: None)
+        return kernels._load_sqeuclidean()
+
+
+class TestSquaredDistanceKernel:
+    def test_loads_the_compiled_kernel(self):
+        assert kernels._sqeuclidean.__name__ == "cdist_sqeuclidean"
+
+    def test_a_test_run_imports_neither_scipy_spatial_nor_scipy_linalg(self):
+        # A stray import of scipy.spatial or scipy.linalg would cost 0.4 s and 38 MB at start-up.
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import mvdtest\n"
+                "rng = np.random.default_rng(0)\n"
+                "mvdtest.run_tests(rng.normal(size=(12, 2)), rng.normal(size=(10, 2)), mvdtest.KernelSpec(0.5),\n"
+                "                  draws=200, seed=1)\n"
+                "print(sorted(name for name in sys.modules if name.startswith(('scipy.spatial', 'scipy.linalg'))))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_falls_back_to_public_cdist(self, monkeypatch):
+        fallback = _fallback_kernel(monkeypatch)
+        assert fallback.func is cdist and fallback.keywords == {"metric": "sqeuclidean"}
+
+    def test_falls_back_when_the_self_check_fails(self, monkeypatch):
+        monkeypatch.setattr(np, "array_equal", lambda *args: False)  # the probe distances read wrong
+        assert kernels._load_sqeuclidean().func is cdist
+
+    @pytest.mark.parametrize("c", [0.0, 1.3])
+    def test_both_paths_give_the_same_bits(self, monkeypatch, c):
+        rng = np.random.default_rng(207)
+        x, y = rng.normal(size=(9, 3)), rng.normal(size=(6, 3))
+        spec = KernelSpec(sigma=0.7, log_scale=c)
+        direct = gram(x, y, spec)
+        monkeypatch.setattr(kernels, "_sqeuclidean", _fallback_kernel(monkeypatch))
+        np.testing.assert_array_equal(gram(x, y, spec), direct)
+        buf = np.empty((9, 6))
+        assert gram(x, y, spec, out=buf) is buf
+        np.testing.assert_array_equal(buf, direct)
+
+    @pytest.mark.parametrize("fallback", [False, True], ids=["direct", "fallback"])
+    @pytest.mark.parametrize("x, y, out, match", [
+        (np.zeros(3), np.zeros((2, 1)), None, "2-dimensional"),
+        (np.zeros((3, 2)), np.zeros((2, 3)), None, "same number of columns"),
+        (np.zeros((3, 2)), np.zeros((4, 2)), np.empty((4, 3)), "incorrect shape"),
+        (np.zeros((3, 2)), np.zeros((4, 2)), np.empty((3, 4), order="F"), "C-contiguous"),
+    ], ids=["1-d", "columns", "out-shape", "out-fortran"])
+    def test_both_paths_refuse_bad_input(self, monkeypatch, fallback, x, y, out, match):
+        if fallback:
+            monkeypatch.setattr(kernels, "_sqeuclidean", _fallback_kernel(monkeypatch))
+        with pytest.raises(ValueError, match=match):
+            gram(x, y, KernelSpec(sigma=0.5), out=out)
 
 
 class TestCenterGram:
