@@ -17,7 +17,8 @@ from . import __version__
 from .closed_form import mmd_sq_isotropic, mvd_mmd_curves, mvd_sq_isotropic
 from .kernels import KernelSpec, as_sample
 from .null import SubsamplingPlan, run_tests
-from .simulate import _COLUMNS, sigma_from_rule, type1_power_table, variance_table
+from .discrepancy import KINDS
+from .simulate import _ALTERNATIVES, _COLUMNS, SIGMA_RULES, sigma_from_rule, type1_power_table, variance_table
 
 
 def load_csv(path, has_header=False):
@@ -99,12 +100,12 @@ def _names(text):
 
 
 def _kinds(kind):
-    return ("mvd", "mmd") if kind == "both" else (kind,)
+    return KINDS if kind == "both" else (kind,)
 
 
 def _add_sigma_arg(parser):
     parser.add_argument("--sigma", default="auto",
-                        help="bandwidth: a number or a rule (auto, d^-3/4, d^-7/8, d^-1, d^-2); "
+                        help=f"bandwidth: a number or a rule (auto, {', '.join(SIGMA_RULES)}); "
                              "auto means d^-3/4 (default: %(default)s)")
 
 
@@ -132,7 +133,7 @@ def build_parser():
     p_test.add_argument("--y", required=True, help="CSV file with the second sample")
     p_test.add_argument("--header", action="store_true", help="skip one header line in each CSV")
     _add_kernel_args(p_test)
-    p_test.add_argument("--kind", choices=("mvd", "mmd", "both"), default="mvd")
+    p_test.add_argument("--kind", choices=(*KINDS, "both"), default="mvd")
     p_test.add_argument("--alpha", type=float, default=0.05, help="significance level (default: 0.05)")
     p_test.add_argument("--draws", type=int, default=10000, metavar="J",
                         help="Monte Carlo draws for the critical value (default: 10000)")
@@ -163,12 +164,12 @@ def build_parser():
     # options default to None: the library owns the defaults, and a table
     # refuses the other table's options (see cmd_simulate).
     p_sim = sub.add_parser("simulate", help="Monte Carlo variance or power table for one cell")
-    p_sim.add_argument("--table", choices=("variance", "power"), required=True)
+    p_sim.add_argument("--table", choices=tuple(_SIMULATE_TABLES), required=True)
     _add_sigma_arg(p_sim)
     p_sim.add_argument("--d", type=int, default=5, help="dimension (default: 5)")
     p_sim.add_argument("--n", type=int, default=200, help="first sample size (default: 200)")
     p_sim.add_argument("--m", type=int, default=200, help="second sample size (default: 200)")
-    p_sim.add_argument("--kind", choices=("mvd", "mmd", "both"), default="both")
+    p_sim.add_argument("--kind", choices=(*KINDS, "both"), default="both")
     p_sim.add_argument("--reps", type=int, default=None,
                        help="replications (default: 2000 for variance, 500 for power)")
     p_sim.add_argument("--divisors", type=_list_of(int, "integers"), default=None, metavar="D1,D2,...",
@@ -176,8 +177,8 @@ def build_parser():
     p_sim.add_argument("--divisor", type=int, default=None,
                        help="power table only: subsample divisor (default: 8)")
     p_sim.add_argument("--alternatives", type=_names, default=None,
-                       help="power table only: comma list from {uniform, exponential} "
-                            "(default: uniform,exponential)")
+                       help=f"power table only: comma list from {{{', '.join(_ALTERNATIVES)}}} "
+                            f"(default: {','.join(_ALTERNATIVES)})")
     p_sim.add_argument("--alpha", type=float, default=None,
                        help="power table only: significance level (default: 0.05)")
     p_sim.add_argument("--draws", type=int, default=None, metavar="J",

@@ -344,23 +344,20 @@ def _weighted_chisq_draws(lams, rho, j, seed):
 
     Each block of normals Z is drawn into one reused buffer and squared once;
     every weight vector then takes its own product with Z^2, so its draws are
-    exactly those sample_weighted_chisq gives it alone.  A vector of zeros
-    gets zeros.
+    exactly those sample_weighted_chisq gives it alone.  A vector of zeros,
+    or an empty one, gets +0.0 draws.
     """
-    outs = [np.zeros(j) for _ in lams]
-    live = [(out, lam) for out, lam in zip(outs, lams) if lam.any()]
-    if not live:
-        return outs
-    size = live[0][1].size
+    outs = [np.empty(j) for _ in lams]
+    size = lams[0].size
     rng = np.random.default_rng(seed)
     denom = rho * (1.0 - rho)
-    rows = max(1, _BLOCK_SCALARS // size)
+    rows = max(1, _BLOCK_SCALARS // max(size, 1))
     block = np.empty((min(rows, j), size))
     for start in range(0, j, rows):
         stop = min(j, start + rows)
         zz = rng.standard_normal(out=block[:stop - start])
         np.multiply(zz, zz, out=zz)
-        for out, lam in live:
+        for out, lam in zip(outs, lams):
             part = np.matmul(zz, lam, out=out[start:stop])
             part /= denom
     return outs
@@ -393,18 +390,15 @@ def subsample_variance(x, spec, kind, plan, m, seed=0):
     one needs more.  A chunk's stacked (b, k, l), (b, k, k) and (b, l, l)
     blocks are gathered in turn into one buffer of b * max(k, l)^2 entries,
     each over flat indices written into that same buffer, and each reduced
-    to b terms in one vectorized pass before the next is gathered.  So a
-    lane holds 8 b max(k, l)^2 bytes: about 0.7 MB at most when k = l < 210,
-    and 8 k^2 once one iteration fills a chunk (k = l >= 210).  The chunks
-    run on _run_lanes, the seeded lane runner the exact replications of
-    simulate.variance_table share.  When one iteration gathers at least 2^14
-    scalars (k = l >= 74), they are shared out over one lane (a thread with
-    its own Generator and buffer) per available CPU; each chunk keeps its
-    boundaries, its streams and its slice of the output, so the result is
-    bit-identical to a run on one lane.  With the Gram matrix of x (8 n^2
-    bytes) and the default plan, 4 lanes fit in 16 n^2 bytes wherever lanes
-    start (n >= 592), L <= 64 lanes once n is about 296 sqrt(L) or more,
-    and 64 lanes once k = n // 8 >= 210.
+    to b terms in one vectorized pass before the next is gathered.  The
+    chunks run on _run_lanes, the seeded lane runner the exact replications
+    of simulate.variance_table share.  When one iteration gathers at least
+    2^14 scalars (k = l >= 74), they are shared out over one lane (a thread
+    with its own Generator and buffer) per available CPU; each chunk keeps
+    its boundaries, its streams and its slice of the output, so the result
+    is bit-identical to a run on one lane.  The memory of a lane, and how
+    many lanes fit beside the Gram matrix, is worked out in
+    _subsample_variance.
     """
     _check_kind(kind)
     x = as_sample(x, "x")
@@ -770,12 +764,8 @@ def run_tests(x, y, spec, kinds=KINDS, plan=None, tau=None, alpha=0.05, draws=10
     n = 2000, 1.6 GB at n = 10000), counting the copy eigvalsh makes.  For
     that, K~_X is not kept for a run of both kinds: the second kind rebuilds
     it, in the freed buffer.  While K_X is subsampled, each lane adds one
-    buffer that holds a block's indices and then the block (see
-    subsample_variance): at most about 0.7 MB per lane with the default
-    plan, and 8 k^2 bytes once one iteration fills a chunk (k >= 210,
-    n >= 1680).  So 4 lanes keep the two-array bound wherever lanes start
-    (n >= 592), L <= 64 lanes from n of about 296 sqrt(L), and 64 lanes
-    from n = 1680 on.  The chi-square draws run after those arrays are
+    buffer; _subsample_variance works out its size and how many lanes keep
+    the two-array bound.  The chi-square draws run after those arrays are
     freed and refill one block of at most 2^17 normals (1 MB), so they
     never set the peak.
     """

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import _check_dim
-from .discrepancy import _check_kinds, _raw_statistics
+from .discrepancy import KINDS, _check_kinds, _raw_statistics
 from .kernels import KernelSpec, _check_distinct, _check_integer, _check_sigma, _is_integer, gram
 from .null import (SubsamplingPlan, _check_draw_seed, _check_draws, _check_iterations, _check_seed, _resolve_taus,
                    _run_lanes, _subsample_variance, _worker_count, run_tests)
@@ -29,7 +29,12 @@ SIGMA_RULES = {"d^-3/4": 0.75, "d^-7/8": 0.875, "d^-1": 1.0, "d^-2": 2.0}
 _COLUMNS = ("table", "sigma_rule", "sigma", "d", "n", "m", "kind", "estimate",
             "scenario", "divisor", "k", "l", "reps", "value", "se")
 
-_FAMILIES = ("std_normal", "uniform_unit", "centered_exponential")
+# Each sampling family: draw(rng, shape) -> an array of i.i.d. coordinates.
+_SAMPLERS = {
+    "std_normal": lambda rng, shape: rng.standard_normal(shape),
+    "uniform_unit": lambda rng, shape: rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=shape),
+    "centered_exponential": lambda rng, shape: rng.exponential(1.0, size=shape) - 1.0,
+}
 
 # The family each alternative of type1_power_table draws Y from.
 _ALTERNATIVES = {"uniform": "uniform_unit", "exponential": "centered_exponential"}
@@ -69,21 +74,13 @@ class DistributionSpec:
     dim: int
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {_FAMILIES}")
+        if self.family not in _SAMPLERS:
+            raise ValueError(f"unknown family {self.family!r}; choose from {tuple(_SAMPLERS)}")
         _check_dim(self.dim)
 
     @classmethod
     def std_normal(cls, d):
         return cls(family="std_normal", dim=d)
-
-    @classmethod
-    def uniform_unit(cls, d):
-        return cls(family="uniform_unit", dim=d)
-
-    @classmethod
-    def centered_exponential(cls, d):
-        return cls(family="centered_exponential", dim=d)
 
 
 def sample(dist, n, seed=0):
@@ -91,14 +88,7 @@ def sample(dist, n, seed=0):
     n = _check_integer(n, "n")
     if n < 1:
         raise ValueError(f"need n >= 1 rows, got {n}")
-    rng = np.random.default_rng(_check_draw_seed(seed))
-    shape = (n, dist.dim)
-    if dist.family == "std_normal":
-        return rng.standard_normal(shape)
-    if dist.family == "uniform_unit":
-        half = math.sqrt(3.0)
-        return rng.uniform(-half, half, size=shape)
-    return rng.exponential(1.0, size=shape) - 1.0
+    return _SAMPLERS[dist.family](np.random.default_rng(_check_draw_seed(seed)), (n, dist.dim))
 
 
 @dataclass(frozen=True)
@@ -191,7 +181,7 @@ def _exact_scaled(kinds, spec, n, m, d, key, reps):
     return scaled
 
 
-def variance_table(cells, kinds=("mvd", "mmd"), reps=2000, divisors=(4, 6, 8), iterations=1000, seed=0):
+def variance_table(cells, kinds=KINDS, reps=2000, divisors=(4, 6, 8), iterations=1000, seed=0):
     """Simulated exact vs subsampled variance of the scaled statistic under P = Q.
 
     cells is a list of (sigma_rule, d, n, m).  For each cell the exact column
@@ -260,7 +250,7 @@ def slope_regression(pairs):
     return float(x @ y) / sxx
 
 
-def type1_power_table(cells, alternatives=("uniform", "exponential"), kinds=("mvd", "mmd"),
+def type1_power_table(cells, alternatives=tuple(_ALTERNATIVES), kinds=KINDS,
                       alpha=0.05, reps=500, divisor=8, iterations=1000, draws=10000,
                       tau=None, seed=0):
     """Rejection rates under the null and under alternatives, per cell and kind.

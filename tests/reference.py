@@ -7,6 +7,7 @@ is evidence, not tautology. None of these functions import mvdtest.
 """
 
 import decimal
+import itertools
 import math
 
 import numpy as np
@@ -246,6 +247,41 @@ def isotropic_sq_by_decimal(t, s, d, sigma, c=0.0):
         mmd = (one + 4 * g) ** half + (one + 4 * g * s) ** half - 2 * shifted(den4, 1)
         return float(mvd * (2 * c).exp()), float(mmd * c.exp())
 
+
+def population_null_moments(kind, d, sigma, nodes=60, band=400):
+    """(sum lambda, sum lambda^2) of the population null law under P = N(0, I_d), by quadrature.
+
+    The lambdas are the eigenvalues of the kernel operator of k~, the kernel
+    k(x, y) = exp(-sigma * ||x - y||^2) centered under P.  On the tensor grid
+    of `nodes` probabilists' Gauss-Hermite nodes per axis, with weights w
+    summing to one, k~ is centered under w, and the two moments are the
+    weighted trace sum_i w_i k~_ii and the weighted squared Frobenius norm
+    sum_ij w_i w_j k~_ij^2 (the trace and squared norm of W^1/2 K~ W^1/2),
+    so no eigenvalue is computed.  The grid's kernel matrix is formed `band`
+    rows at a time.  Only kind "mmd" is covered: the mvd law's kernel is the
+    doubly centered k~^2, which this does not build.
+    """
+    if kind != "mmd":
+        raise NotImplementedError(f"no population oracle for kind {kind!r}")
+    x, u = np.polynomial.hermite_e.hermegauss(nodes)
+    u = u / u.sum()
+    points = np.array(list(itertools.product(x, repeat=d)))
+    w = np.array([math.prod(factors) for factors in itertools.product(u, repeat=d)])
+    starts = range(0, len(w), band)
+
+    def rows(start):
+        diff = points[start:start + band, None, :] - points[None, :, :]
+        return np.exp(-sigma * np.sum(diff * diff, axis=2))
+
+    a = np.concatenate([rows(start) @ w for start in starts])  # a_i = sum_j w_j k_ij
+    c = float(w @ a)
+    trace = frob = 0.0
+    for start in starts:
+        stop = min(start + band, len(w))
+        centered = rows(start) - a[start:stop, None] - a[None, :] + c
+        trace += float(w[start:stop] @ centered[:, start:stop].diagonal())
+        frob += float(w[start:stop] @ (centered * centered) @ w)
+    return trace, frob
 
 
 def weighted_chisq_sf(mu, x):

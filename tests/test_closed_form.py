@@ -322,6 +322,40 @@ class TestLargeDimension:
             assert mean_embedding_norm_sq(GaussianSpec.standard(500), 1.0) > 0.0
 
 
+class TestNearTheNull:
+    """Each squared discrepancy is a sum of O(1) terms of both signs, so its error is absolute."""
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("sigma", [0.09, 0.5, 2.0])
+    def test_absolute_error_stays_at_round_off(self, d, sigma):
+        # Worst seen: 6.95e-16 (mvd) and 2.63e-16 (mmd).  The smallest
+        # non-zero mvd here is 1.4e-11, where that is 9.4e-6 relative.
+        for t in (0.0, 1e-4, 1e-3, 1e-2):
+            for s in (1.0, 1.0 - 1e-4, 1.0 + 1e-4, 1.0 + 1e-3):
+                mvd, mmd = ref.isotropic_sq_by_decimal(t, s, d, sigma)
+                assert abs(mvd_sq_isotropic(t, s, d, sigma) - mvd) <= 2e-15
+                assert abs(mmd_sq_isotropic(t, s, d, sigma) - mmd) <= 2e-15
+
+
+class TestPopulationNullMoments:
+    """Sum lambda and sum lambda^2 of the mmd null law under N(0, I_d), by quadrature."""
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0])
+    def test_sixty_nodes_are_converged(self, sigma):
+        # Fixes the node count: doubling it moves neither moment by 1e-11.
+        # The tensor grid at d = 2 sums the same 1-D rule along each axis.
+        coarse = ref.population_null_moments("mmd", 1, sigma, nodes=60)
+        fine = ref.population_null_moments("mmd", 1, sigma, nodes=120)
+        np.testing.assert_allclose(coarse, fine, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("sigma", [0.3, 1.0])
+    def test_mmd_matches_the_closed_forms(self, d, sigma):
+        trace, squares = ref.population_null_moments("mmd", d, sigma, nodes=60)
+        assert abs(trace - (1.0 - (1.0 + 4.0 * sigma) ** (-d / 2))) <= 1e-10
+        assert abs(squares - cov_operator_norm_sq(GaussianSpec.standard(d), sigma)) <= 1e-10
+
+
 class TestLogScaleFactor:
     def test_mmd_scales_as_exp_c(self):
         q = GaussianSpec.isotropic(0.5, 1.5, 3)

@@ -354,9 +354,11 @@ class TestSampleWeightedChisq:
             np.testing.assert_array_equal(draws, sample_weighted_chisq(_unit_weights(lam), 0.3, 997,
                                                                        seed=[9, 1]))
 
-    def test_zero_weights_need_no_randomness(self):
-        out = sample_weighted_chisq(_unit_weights([0.0, 0.0]), 0.5, 17, seed=77)
+    @pytest.mark.parametrize("lam", [[0.0, 0.0], [-0.0, 0.0], []])
+    def test_zero_weights_give_positive_zeros(self, lam):
+        out = sample_weighted_chisq(_unit_weights(lam), 0.5, 17, seed=77)
         np.testing.assert_array_equal(out, np.zeros(17))
+        assert not np.signbit(out).any()
 
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError, match="rho must be in"):
